@@ -1,6 +1,7 @@
 """Smooth-integer arithmetic: prime sieves, canonical factorizations,
-ordered enumeration of S(x, y) = {n <= x : P(n) <= y}, and exact counts
-of |S(x, y)| by two independent methods.
+S(x, y) = {n <= x : P(n) <= y} as an ordered columnar table (and as a
+stream of factorizations read from it), and exact counts of |S(x, y)| by
+two independent methods.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 from math import isqrt, log
 from typing import Iterator
 
@@ -26,10 +26,6 @@ N_CEILING = 2**62  # divisor products must stay inside int64
 CACHE_ENV = "FRIABILIS_CACHE"
 _CACHE_MAGIC = b"FBSV"
 _CACHE_VERSION = 1
-
-# tiny in-process cache of recent prime masks, keyed by limit
-_mask_cache: dict[int, np.ndarray] = {}
-_MASK_CACHE_SLOTS = 4
 
 
 def _cache_path(cache_dir: str, limit: int) -> str:
@@ -66,27 +62,42 @@ def _read_sieve_cache(path: str, limit: int) -> np.ndarray | None:
     return mask.view(np.bool_)
 
 
-def _prime_mask(limit: int, cache_dir: str | None = None) -> np.ndarray:
-    cached = _mask_cache.get(limit)
-    if cached is not None:
-        return cached
-    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
-    mask = None
-    if directory:
-        mask = _read_sieve_cache(_cache_path(directory, limit), limit)
-    if mask is None:
-        mask = kernels.prime_mask(limit)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-            _write_sieve_cache(_cache_path(directory, limit), limit, mask)
-    if len(_mask_cache) >= _MASK_CACHE_SLOTS:
-        _mask_cache.pop(next(iter(_mask_cache)))
-    _mask_cache[limit] = mask
-    return mask
+class _PrimeCache:
+    """One prime mask per process and its primes as a read-only array.
+
+    The mask grows geometrically, to at most SIEVE_CEILING unless a larger
+    limit is asked for, so a run of requests with rising limits sieves a
+    logarithmic number of times and every answer is a slice.
+    """
+
+    def __init__(self):
+        self.mask = np.zeros(0, dtype=np.bool_)
+        self.primes = np.zeros(0, dtype=np.int64)
+
+    def adopt(self, mask: np.ndarray) -> None:
+        if len(mask) > len(self.mask):
+            self.mask = mask
+            self.primes = np.flatnonzero(mask).astype(np.int64)
+            self.mask.flags.writeable = False
+            self.primes.flags.writeable = False
+
+    def mask_upto(self, limit: int) -> np.ndarray:
+        if limit >= len(self.mask):
+            grown = min(2 * len(self.mask), SIEVE_CEILING)
+            self.adopt(kernels.prime_mask(max(limit, grown)))
+        return self.mask[: limit + 1]
+
+    def primes_upto(self, limit: int) -> np.ndarray:
+        self.mask_upto(limit)
+        return self.primes[: np.searchsorted(self.primes, limit, side="right")]
+
+
+_primes = _PrimeCache()
 
 
 def sieve_primes(limit, *, ceiling: int = SIEVE_CEILING, cache_dir: str | None = None):
-    """All primes <= limit as an ascending int64 array.
+    """All primes <= limit as an ascending int64 array (read-only when it
+    comes from the in-process sieve).
 
     Parameters
     ----------
@@ -106,8 +117,18 @@ def sieve_primes(limit, *, ceiling: int = SIEVE_CEILING, cache_dir: str | None =
         )
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    mask = _prime_mask(limit, cache_dir)
-    return np.nonzero(mask)[0].astype(np.int64)
+    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
+    if not directory:
+        return _primes.primes_upto(limit)
+    path = _cache_path(directory, limit)
+    mask = _read_sieve_cache(path, limit)
+    if mask is None:
+        mask = _primes.mask_upto(limit)
+        os.makedirs(directory, exist_ok=True)
+        _write_sieve_cache(path, limit, mask)
+    else:
+        _primes.adopt(mask)
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -201,63 +222,144 @@ def factorize(n) -> Factorization:
     return Factorization(tuple(factors))
 
 
-def _factors_from_spf(n: int, spf: np.ndarray) -> tuple[tuple[int, int], ...]:
-    factors = []
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
-    return tuple(factors)
+_ITER_BLOCK = 4096  # rows turned into Python tuples at a time by factorizations()
 
 
-def _iter_smooth_heap(x: int, y: int, limit: int) -> Iterator[Factorization]:
-    primes = sieve_primes(min(x, y)).tolist()
-    # heap entries (n, i, factors): i is the index of P(n); each smooth
-    # number is pushed exactly once because prime indices never decrease
-    heap: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(1, 0, ())]
-    emitted = 0
-    while heap:
-        n, i, factors = heappop(heap)
-        emitted += 1
-        if emitted > limit:
+@dataclass(frozen=True)
+class SmoothTable:
+    """S(x, y) as columns, one row per n in increasing order.
+
+    n is int64.  primes (int64) and exps (int8) are slot matrices of shape
+    (rows, width): row i holds the factorization of n[i] with its primes
+    ascending in the first omega(n[i]) slots, padded with p = 1, e = 0.
+    basis holds every prime <= min(x, y), the primes a slot can take.
+    """
+
+    n: np.ndarray
+    primes: np.ndarray
+    exps: np.ndarray
+    basis: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def factorization(self, i: int) -> Factorization:
+        """Row i as a Factorization."""
+        w = int(np.count_nonzero(self.exps[i]))
+        f = Factorization(
+            tuple(zip(self.primes[i, :w].tolist(), self.exps[i, :w].tolist()))
+        )
+        f.__dict__["n"] = int(self.n[i])  # seed the cached property
+        return f
+
+    def factorizations(self) -> Iterator[Factorization]:
+        """Every row as a Factorization, in increasing n."""
+        for lo in range(0, len(self.n), _ITER_BLOCK):
+            block = slice(lo, lo + _ITER_BLOCK)
+            widths = np.count_nonzero(self.exps[block], axis=1).tolist()
+            rows = zip(
+                self.n[block].tolist(),
+                self.primes[block].tolist(),
+                self.exps[block].tolist(),
+                widths,
+            )
+            for n, ps, es, w in rows:
+                f = Factorization(tuple(zip(ps[:w], es[:w])))
+                f.__dict__["n"] = n
+                yield f
+
+
+def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
+    """S(x, y) as a SmoothTable; |S(x, y)| > limit raises ResourceLimitError.
+
+    Rows grow from n = 1 one prime at a time, in ascending order, so a new
+    factor always lands in the next free slot.  A prime p <= sqrt(x) gives
+    every row with n p^k <= x a child n p^k.  A prime p > sqrt(x) divides
+    n at most once and as its largest prime, so its children are p times
+    the rows up to x / p, a prefix of the rows sorted by n.  Each child
+    records its parent row and its last factor; the slot matrices are read
+    back along those links at the end.  The row count is checked before
+    each step allocates its rows.
+    """
+    x = int(x)
+    y = int(y)
+    if x >= N_CEILING:
+        raise DomainError(f"x must be < 2**62, got {x}")
+    basis = sieve_primes(min(x, y))
+    root = isqrt(max(x, 0))
+
+    def check(size: int) -> None:
+        if size > limit:
             raise ResourceLimitError(
                 f"enumeration of S({x}, {y}) exceeds ceiling {limit}"
             )
-        f = Factorization(factors)
-        f.__dict__["n"] = n  # seed the cached property; the heap already knows n
-        yield f
-        for j in range(i, len(primes)):
-            p = primes[j]
-            if n * p > x:
-                break
-            if j == i and factors:
-                child = factors[:-1] + ((p, factors[-1][1] + 1),)
-            else:
-                child = factors + ((p, 1),)
-            heappush(heap, (n * p, j, child))
 
+    n = np.ones(1, dtype=np.int64)
+    omega = np.zeros(1, dtype=np.int8)
+    parents = [np.full(1, -1, dtype=np.int64)]
+    last_p = [np.ones(1, dtype=np.int64)]
+    last_e = [np.zeros(1, dtype=np.int8)]
+    for p in basis[basis <= root].tolist():
+        new_n = [n]
+        new_omega = [omega]
+        size = len(n)
+        sel = np.flatnonzero(n <= x // p)
+        pk, k = p, 1
+        while sel.size:
+            size += sel.size
+            check(size)
+            new_n.append(n[sel] * pk)
+            new_omega.append(omega[sel] + 1)
+            parents.append(sel)
+            last_p.append(np.full(sel.size, p, dtype=np.int64))
+            last_e.append(np.full(sel.size, k, dtype=np.int8))
+            pk *= p
+            k += 1
+            sel = sel[n[sel] <= x // pk]
+        n = np.concatenate(new_n)
+        omega = np.concatenate(new_omega)
 
-def _iter_smooth_range(x: int, limit: int) -> Iterator[Factorization]:
-    if x > limit:
-        raise ResourceLimitError(f"enumeration of [1, {x}] exceeds ceiling {limit}")
-    spf = kernels.spf_sieve(x)
-    yield Factorization(())
-    for n in range(2, x + 1):
-        f = Factorization(_factors_from_spf(n, spf))
-        f.__dict__["n"] = n
-        yield f
+    large = basis[basis > root]
+    if large.size:
+        order = np.argsort(n)
+        counts = np.searchsorted(n[order], x // large, side="right")
+        total = int(counts.sum())
+        check(len(n) + total)
+        starts = np.cumsum(counts) - counts
+        par = order[np.arange(total) - np.repeat(starts, counts)]
+        p_col = np.repeat(large, counts)
+        n = np.concatenate([n, n[par] * p_col])
+        omega = np.concatenate([omega, omega[par] + 1])
+        parents.append(par)
+        last_p.append(p_col)
+        last_e.append(np.ones(total, dtype=np.int8))
+
+    parent = np.concatenate(parents)
+    p_last = np.concatenate(last_p)
+    e_last = np.concatenate(last_e)
+    width = int(omega.max())
+    primes = np.ones((len(n), width), dtype=np.int64)
+    exps = np.zeros((len(n), width), dtype=np.int8)
+    rows = np.flatnonzero(omega)
+    cur = rows
+    slot = omega[rows].astype(np.int64) - 1
+    while rows.size:
+        primes[rows, slot] = p_last[cur]
+        exps[rows, slot] = e_last[cur]
+        cur = parent[cur]
+        slot -= 1
+        keep = slot >= 0
+        rows, cur, slot = rows[keep], cur[keep], slot[keep]
+    order = np.argsort(n)
+    return SmoothTable(n=n[order], primes=primes[order], exps=exps[order], basis=basis)
 
 
 @dataclass(frozen=True)
 class SmoothSet:
     """S(x, y) as a restartable stream of factorizations in increasing n.
 
-    Each __iter__ call starts an independent enumeration, so one SmoothSet
-    can back several consumers.
+    Each __iter__ call builds the table afresh and streams its rows, so one
+    SmoothSet can back several consumers.
     """
 
     x: int
@@ -265,9 +367,7 @@ class SmoothSet:
     limit: int = ENUM_CEILING
 
     def __iter__(self) -> Iterator[Factorization]:
-        if self.y >= self.x and self.x <= SIEVE_CEILING:
-            return _iter_smooth_range(self.x, self.limit)
-        return _iter_smooth_heap(self.x, self.y, self.limit)
+        return smooth_table(self.x, self.y, limit=self.limit).factorizations()
 
     def count(self) -> int:
         return psi_exact(self.x, self.y, limit=self.limit)
@@ -276,7 +376,8 @@ class SmoothSet:
 def enumerate_smooth(x, y, *, limit: int = ENUM_CEILING) -> SmoothSet:
     """The stream of y-smooth integers n <= x, ascending, as Factorizations.
 
-    Raises ResourceLimitError mid-stream if the count passes `limit`.
+    Starting the stream raises ResourceLimitError, before the first item,
+    if the count passes `limit`.
     """
     x = int(x)
     y = int(y)

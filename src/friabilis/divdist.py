@@ -2,6 +2,12 @@
 moments, the full atom list by convolution over prime powers, tail queries
 with a closed >= convention, and the additive statistics the averaged model
 predicts.
+
+Each per-n function has a columnar counterpart over a SmoothTable
+(table_moments, table_additive_fk, table_upper_tails) that returns, row by
+row, the same floats bit for bit: it performs the same IEEE operations in
+the same order, takes log p from math.log and log d from np.log of the
+integer divisor, as the per-n code does.
 """
 
 from __future__ import annotations
@@ -14,13 +20,14 @@ from typing import Iterator
 import numpy as np
 
 from friabilis._backend import kernels
-from friabilis.arith import Factorization, N_CEILING
+from friabilis.arith import N_CEILING, Factorization, SmoothTable
 from friabilis.errors import DomainError, ResourceLimitError
 from friabilis.saddle import SaddleContext
 
 TAU_CEILING = 2 * 10**6  # largest admissible atom count
 MERGE_TOL = 1e-12  # atoms closer than this collapse into one
 NUDGE_SCALE = 1e-9  # collision nudge, in units of log n
+ATOM_BUDGET = 2**16  # divisor atoms table_upper_tails expands at once (0.5 MB per int64 array)
 
 
 @dataclass(frozen=True)
@@ -182,6 +189,161 @@ def additive_fk(f: Factorization, k: int) -> float:
     if k == 0:
         return float(f.omega)
     return sum((e * log(p)) ** k for p, e in f.factors)
+
+
+def _prime_logs(table: SmoothTable) -> np.ndarray:
+    """math.log(p) for each prime of table.basis, then 0.0 for padding."""
+    return np.array([log(p) for p in table.basis.tolist()] + [0.0])
+
+
+def _slot_index(table: SmoothTable, j: int) -> np.ndarray:
+    """Index in table.basis of the primes in slot j; padding maps past the end."""
+    idx = np.searchsorted(table.basis, table.primes[:, j])
+    idx[table.exps[:, j] == 0] = len(table.basis)
+    return idx
+
+
+@dataclass(frozen=True)
+class MomentColumns:
+    """log n and the moments m2, m4, w of every row of a SmoothTable, equal
+    bit for bit to Factorization.log_n and moments() row by row."""
+
+    log_n: np.ndarray
+    m2: np.ndarray
+    m4: np.ndarray
+    w: np.ndarray
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return np.sqrt(self.m2)
+
+
+def table_moments(table: SmoothTable) -> MomentColumns:
+    """log n and moments() (less tau and t_max) for every row, one slot
+    column at a time.
+
+    Padding slots (p = 1, e = 0) add exactly 0.0 to each sum, so summing all
+    columns from 0 repeats the per-n loop over the real factors.
+    """
+    logs = _prime_logs(table)
+    rows = len(table)
+    log_n = np.zeros(rows)
+    m2 = np.zeros(rows)
+    m4 = np.zeros(rows)
+    for j in range(table.exps.shape[1]):
+        ej = table.exps[:, j].astype(np.int64)
+        lpj = logs[_slot_index(table, j)]
+        lp2 = lpj * lpj
+        log_n += ej * lpj
+        m2 += ej * (ej + 2) * lp2
+        m4 += ej * (ej + 2) * (3 * ej * ej + 6 * ej - 4) * lp2 * lp2
+    m2 /= 12.0
+    m4 /= 240.0
+    w = np.ones(rows)
+    factored = np.count_nonzero(table.exps, axis=1) > 0
+    w[factored] = m2[factored] * m2[factored] / m4[factored]
+    return MomentColumns(log_n=log_n, m2=m2, m4=m4, w=w)
+
+
+def table_additive_fk(table: SmoothTable, k: int) -> np.ndarray:
+    """additive_fk(f, k) for every row.  Each distinct (p, e) term is
+    raised to the k-th power by Python's float pow, as additive_fk does."""
+    if not 0 <= k <= 8:
+        raise DomainError("k must lie in [0, 8]")
+    if k == 0:
+        return np.count_nonzero(table.exps, axis=1).astype(np.float64)
+    logs = _prime_logs(table).tolist()
+    index = [_slot_index(table, j) for j in range(table.exps.shape[1])]
+    present = np.zeros((len(logs), int(table.exps.max(initial=0)) + 1), dtype=bool)
+    for j, idx in enumerate(index):
+        present[idx, table.exps[:, j]] = True
+    power = np.zeros(present.shape)
+    pairs = np.nonzero(present)
+    power[pairs] = [(e * logs[i]) ** k for i, e in zip(*(a.tolist() for a in pairs))]
+    fk = np.zeros(len(table))
+    for j, idx in enumerate(index):
+        fk += power[idx, table.exps[:, j]]
+    return fk
+
+
+def _atom_chunks(tau: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Row ranges holding at most ATOM_BUDGET atoms (or a single row)."""
+    cum = np.cumsum(tau)
+    lo = 0
+    while lo < len(tau):
+        done = int(cum[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(cum, done + ATOM_BUDGET, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """log d for every divisor of every row, the atoms of a row contiguous.
+
+    The divisors are expanded with np.repeat, largest prime first, so the
+    high exponents of the small primes multiply the atom count last.
+    """
+    owner = np.arange(len(primes), dtype=np.int32)
+    d = np.ones(len(primes), dtype=np.int64)
+    for j in range(primes.shape[1] - 1, -1, -1):
+        if not exps[:, j].any():
+            continue
+        reps = exps[:, j][owner].astype(np.int64) + 1
+        owner = np.repeat(owner, reps)
+        d = np.repeat(d, reps)
+        # the exponent of p within each run of copies: 0, 1, ..., e
+        power = np.ones(len(d), dtype=np.int64)
+        power[0] = 0
+        power[np.cumsum(reps[:-1])] = 1 - reps[:-1]
+        np.cumsum(power, out=power)
+        factor = primes[:, j][owner]
+        np.power(factor, power, out=factor)
+        d *= factor
+    return np.log(d.astype(np.float64))
+
+
+def table_upper_tails(
+    table: SmoothTable, rows: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """upper_tail at the nudged query for each selected row and threshold.
+
+    rows are table row indices; t has shape (len(rows), queries), one row
+    of thresholds per index (NaN marks a query not wanted).  Returns
+    (tails, nudged), both shaped like t.  A query with no log d within
+    MERGE_TOL of it needs no nudge, and its tail is count(log d >= t) / tau,
+    computed on chunks of at most ATOM_BUDGET atoms.  A query with one that close goes through exact_law,
+    nudge_off_atom and upper_tail instead (this covers z = 0 on squares,
+    n = 1, and merged atoms).  A row with tau > TAU_CEILING raises
+    ResourceLimitError, as exact_law would.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    t = np.asarray(t, dtype=np.float64)
+    tau = np.prod(table.exps[rows].astype(np.int64) + 1, axis=1)
+    over = np.flatnonzero(tau > TAU_CEILING)
+    if over.size:
+        raise ResourceLimitError(
+            f"tau = {int(tau[over[0]])} exceeds ceiling {TAU_CEILING}"
+        )
+    tails = np.zeros(t.shape)
+    nudged = np.zeros(t.shape, dtype=bool)
+    for lo, hi in _atom_chunks(tau):
+        chunk = rows[lo:hi]
+        logd = _log_divisors(table.primes[chunk], table.exps[chunk])
+        starts = np.cumsum(tau[lo:hi]) - tau[lo:hi]
+        near = np.zeros((hi - lo, t.shape[1]), dtype=bool)
+        for j in range(t.shape[1]):
+            diff = np.repeat(t[lo:hi, j], tau[lo:hi])
+            np.subtract(logd, diff, out=diff)
+            count = np.add.reduceat(diff >= 0, starts, dtype=np.int64)
+            tails[lo:hi, j] = count / tau[lo:hi]
+            np.abs(diff, out=diff)
+            near[:, j] = np.logical_or.reduceat(diff < MERGE_TOL, starts)
+        for i in np.flatnonzero(near.any(axis=1)).tolist():
+            law = exact_law(table.factorization(chunk[i]))
+            for j in np.flatnonzero(near[i]).tolist():
+                q, nudged[lo + i, j] = nudge_off_atom(law, float(t[lo + i, j]))
+                tails[lo + i, j] = law.upper_tail(q)
+    return tails, nudged
 
 
 def model_mean_additive(ctx: SaddleContext, k: int, *, rel_tol: float = 1e-15) -> float:

@@ -18,13 +18,12 @@ from math import asin, exp, pi, sqrt
 import numpy as np
 
 from friabilis._backend import BACKEND, kernels
-from friabilis.arith import enumerate_smooth
+from friabilis.arith import smooth_table
 from friabilis.divdist import (
-    additive_fk,
-    exact_law,
     model_mean_additive,
-    moments,
-    nudge_off_atom,
+    table_additive_fk,
+    table_moments,
+    table_upper_tails,
 )
 from friabilis.errors import ConfigError
 from friabilis.perron import gaussian_tail
@@ -156,48 +155,37 @@ def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
     """Gaussian tail quality across S(x, y), one output row per z."""
     if B <= 0:
         raise ConfigError("B must be positive")
-    stream = (f for f in enumerate_smooth(config.x, config.y) if f.n > 1)
-    selected, total = _reservoir(stream, config.sample_cap, config.seed)
-    selected.sort(key=lambda f: f.n)
+    table = smooth_table(config.x, config.y)
+    # the reservoir depends only on positions in the stream of n > 1, so
+    # replaying it over indices selects the same n; row 0 is n = 1
+    selected, total = _reservoir(range(len(table) - 1), config.sample_cap, config.seed)
+    picked = np.sort(np.array(selected, dtype=np.int64)) + 1
+    mom = table_moments(table)
+    w = mom.w[picked]
 
     zs = config.z_grid
-    errors: list[list[float]] = [[] for _ in zs]
-    exceptional = [0] * len(zs)
-    nudged_counts = [0] * len(zs)
-    for f in selected:
-        mom = moments(f)
-        if mom.w < config.w_min:
-            continue
-        z_cap = B * mom.w**0.25
-        active = [i for i, z in enumerate(zs) if z <= z_cap]
-        if not active:
-            continue
-        law = exact_law(f)
-        half_log_n = 0.5 * f.log_n
-        for i in active:
-            z = zs[i]
-            t, nudged = nudge_off_atom(law, half_log_n + z * mom.sigma)
-            err = (
-                abs(law.upper_tail(t) / gaussian_tail(z) - 1.0)
-                * mom.w
-                / (1.0 + z**4)
-            )
-            errors[i].append(err)
-            exceptional[i] += err > config.C
-            nudged_counts[i] += nudged
+    z_col = np.array(zs)
+    z_cap = np.array([B * wi**0.25 for wi in w.tolist()])
+    active = (z_col[None, :] <= z_cap[:, None]) & (w >= config.w_min)[:, None]
+    tested = active.any(axis=1)  # only these n need their divisor law
+    picked, w, active = picked[tested], w[tested], active[tested]
+    t = 0.5 * mom.log_n[picked][:, None] + z_col[None, :] * mom.sigma[picked][:, None]
+    tails, nudged = table_upper_tails(table, picked, np.where(active, t, np.nan))
 
     rows = []
     for i, z in enumerate(zs):
-        errs = errors[i]
+        on = active[:, i]
+        errs = np.abs(tails[on, i] / gaussian_tail(z) - 1.0) * w[on] / (1.0 + z**4)
+        exceptional = int(np.count_nonzero(errs > config.C))
         rows.append(
             CltRow(
                 z=z,
                 n_tested=len(errs),
-                exceptional_count=exceptional[i],
-                exceptional_fraction=exceptional[i] / len(errs) if errs else 0.0,
-                median_normalized_error=float(np.median(errs)) if errs else 0.0,
-                max_normalized_error=max(errs) if errs else 0.0,
-                nudged=nudged_counts[i],
+                exceptional_count=exceptional,
+                exceptional_fraction=exceptional / len(errs) if len(errs) else 0.0,
+                median_normalized_error=float(np.median(errs)) if len(errs) else 0.0,
+                max_normalized_error=float(errs.max()) if len(errs) else 0.0,
+                nudged=int(np.count_nonzero(nudged[on, i])),
             )
         )
     meta = {
@@ -273,17 +261,14 @@ def run_average(config: AverageRunConfig) -> RunResult:
     sigma_bar = ctx.sigma_bar
 
     zs = config.z_grid
-    sums = [0.0] * len(zs)
-    nudged_counts = [0] * len(zs)
-    count = 0
-    for f in enumerate_smooth(config.x, config.y):
-        count += 1
-        law = exact_law(f)
-        half_log_n = 0.5 * f.log_n
-        for i, z in enumerate(zs):
-            t, nudged = nudge_off_atom(law, half_log_n + z * sigma_bar)
-            sums[i] += law.upper_tail(t)
-            nudged_counts[i] += nudged
+    table = smooth_table(config.x, config.y)
+    count = len(table)
+    mom = table_moments(table)
+    t = 0.5 * mom.log_n[:, None] + np.array(zs)[None, :] * sigma_bar
+    tails, nudged = table_upper_tails(table, np.arange(count), t)
+    # cumsum adds in n order, one term at a time, as a running total would
+    sums = [float(np.cumsum(tails[:, i])[-1]) for i in range(len(zs))]
+    nudged_counts = [int(np.count_nonzero(nudged[:, i])) for i in range(len(zs))]
 
     rows = []
     for i, z in enumerate(zs):
@@ -370,17 +355,16 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
     sigma_bar = ctx.sigma_bar
     model_means = {k: model_mean_additive(ctx, k) for k in config.k_list}
 
-    fk_ratios: dict[int, list[float]] = {k: [] for k in config.k_list}
-    sigma_ratios = []
-    for f in enumerate_smooth(config.x, config.y):
-        for k in config.k_list:
-            fk_ratios[k].append(additive_fk(f, k) / model_means[k])
-        if f.n > 1:
-            sigma_ratios.append(moments(f).sigma / sigma_bar)
+    table = smooth_table(config.x, config.y)
+    fk_ratios = {
+        k: table_additive_fk(table, k) / model_means[k] for k in config.k_list
+    }
+    # row 0 is n = 1, which has no spread
+    sigma_ratios = table_moments(table).sigma[1:] / sigma_bar
 
     rows = []
     for k in config.k_list:
-        dev = np.abs(np.array(fk_ratios[k]) - 1.0)
+        dev = np.abs(fk_ratios[k] - 1.0)
         for d in config.thresholds:
             rows.append(
                 ConcentrationRow(
@@ -390,8 +374,7 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
                     shape=exp(-d * d * ctx.u_bar),
                 )
             )
-    sig = np.array(sigma_ratios)
-    counts, edges = np.histogram(sig, bins=config.bins)
+    counts, edges = np.histogram(sigma_ratios, bins=config.bins)
     meta = {
         "schema": SCHEMA_VERSION,
         "kind": "concentration",

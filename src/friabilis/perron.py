@@ -174,12 +174,17 @@ def tail_quantile_domain(f: Factorization) -> float:
     return f.log_n / (2.0 * mom.sigma)
 
 
-def solve_beta(f: Factorization, z, *, tol: float = 1e-10, max_iter: int = 100) -> float:
-    """The tilt beta >= 0 with (log Z)'(beta) = z sigma + half log n.
+def solve_beta(
+    f: Factorization, z, *, tol: float = 1e-10, max_iter: int = 100, t: float | None = None
+) -> float:
+    """The tilt beta >= 0 with (log Z)'(beta) = t, where t defaults to
+    half log n + z sigma.
 
     Newton iteration guarded by a maintained bracket; the residual stops
     under tol * log n.  z must lie in [0, log n / (2 sigma)); the supremum
-    itself (and anything past it) is outside the reachable range.
+    itself (and anything past it) is outside the reachable range.  A given
+    t is the query after nudge_off_atom moved it (within 64e-9 log n of
+    the z threshold); z = 0 keeps beta = 0 whatever t is.
     """
     z = float(z)
     mom = moments(f)
@@ -190,7 +195,7 @@ def solve_beta(f: Factorization, z, *, tol: float = 1e-10, max_iter: int = 100) 
     if z == 0.0:
         return 0.0
     log_n = f.log_n
-    target = 0.5 * log_n + z * mom.sigma
+    target = 0.5 * log_n + z * mom.sigma if t is None else float(t)
     if target >= log_n:
         raise DomainError(
             f"z = {z} is at or beyond the supremum {log_n / (2 * mom.sigma)}"
@@ -241,14 +246,17 @@ class SaddleTail:
     exponent: float
 
 
-def saddle_tail_approx(f: Factorization, z, *, tol: float = 1e-10) -> SaddleTail:
-    """Approximate P(log d >= half log n + z sigma) by tilting the law."""
+def saddle_tail_approx(
+    f: Factorization, z, *, tol: float = 1e-10, t: float | None = None
+) -> SaddleTail:
+    """Approximate P(log d >= t) by tilting the law; t defaults to
+    half log n + z sigma (see solve_beta)."""
     z = float(z)
-    beta = solve_beta(f, z, tol=tol)
+    beta = solve_beta(f, z, tol=tol, t=t)
     mom = moments(f)
     curv = log_mgf_derivative(f, beta, 2)
     mu2 = sqrt(curv)
-    target = 0.5 * f.log_n + z * mom.sigma
+    target = 0.5 * f.log_n + z * mom.sigma if t is None else float(t)
     exponent = log_mgf(f, beta) - target * beta + 0.5 * beta * beta * curv
     return SaddleTail(
         value=exp(exponent) * gaussian_tail(beta * mu2),
@@ -268,7 +276,12 @@ _CHUNK = 250_000
 
 
 def perron_tail_quadrature(
-    f: Factorization, z, *, T: float = 200.0, steps: int = 200_000
+    f: Factorization,
+    z,
+    *,
+    T: float = 200.0,
+    steps: int = 200_000,
+    t: float | None = None,
 ) -> float:
     """Tail probability by integrating Z(s) e^{-ts}/s over the truncated
     vertical line Re s = beta, |Im s| <= T, using conjugate symmetry to fold
@@ -277,7 +290,8 @@ def perron_tail_quadrature(
     Accuracy is limited by the truncation at T; the quadrature itself
     resolves the oscillation as long as panels are shorter than the fastest
     wavelength, and warns when they are not.  z must be positive (beta = 0
-    puts the contour on the pole) and the query point must not be an atom.
+    puts the contour on the pole) and the query point t, half log n +
+    z sigma unless given (see solve_beta), must not be an atom.
     """
     z = float(z)
     T = float(T)
@@ -291,12 +305,12 @@ def perron_tail_quadrature(
     mom = moments(f)
     if mom.m2 == 0.0:
         raise DomainError("n = 1 has a degenerate law")
-    t = 0.5 * f.log_n + z * mom.sigma
+    t = 0.5 * f.log_n + z * mom.sigma if t is None else float(t)
     # an atom at the query point makes the truncated integral ill-posed
     d0 = round(exp(t))
     if d0 >= 1 and f.n % d0 == 0 and abs(log(d0) - t) < 1e-12:
         raise DomainError(f"query t = {t} collides with the atom log {d0}")
-    beta = solve_beta(f, z)
+    beta = solve_beta(f, z, t=t)
 
     panel = T / steps
     max_freq = max(t, f.log_n - t)
@@ -346,6 +360,8 @@ def tail_report(
 ) -> TailReport:
     """Assemble a TailReport for P(log d >= half log n + z sigma).
 
+    When that threshold sits on an atom it is nudged off it first, and the
+    exact, saddle and Perron tails are all evaluated at the resolved t.
     `perron`, when given, is (T, steps) for the contour evaluation; it is
     skipped otherwise.  n = 1 is excluded (degenerate law).
     """
@@ -359,10 +375,10 @@ def tail_report(
     t, nudged = nudge_off_atom(law, t)
     exact = law.upper_tail(t)
     gauss = gaussian_tail(z)
-    tilted = saddle_tail_approx(f, z)
+    tilted = saddle_tail_approx(f, z, t=t)
     perron_val = None
     if perron is not None:
-        perron_val = perron_tail_quadrature(f, z, T=perron[0], steps=perron[1])
+        perron_val = perron_tail_quadrature(f, z, T=perron[0], steps=perron[1], t=t)
     return TailReport(
         n=f.n,
         z=z,

@@ -112,6 +112,26 @@ def test_sieve_cache_rejects_corruption(tmp_path):
     )
 
 
+def test_sieve_slices_one_growing_mask(monkeypatch):
+    from friabilis import arith
+
+    real = arith.kernels.prime_mask
+    limits = []
+
+    def counting_mask(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(arith, "_primes", arith._PrimeCache())
+    monkeypatch.setattr(arith.kernels, "prime_mask", counting_mask)
+    for limit in [*range(1000, 100_000, 997), 50, 999]:
+        primes = sieve_primes(limit)
+        np.testing.assert_array_equal(primes, np.flatnonzero(real(limit)))
+        assert not primes.flags.writeable
+    # 98 rising limits cost a logarithmic number of sieves, smaller ones none
+    assert len(limits) <= 8, limits
+
+
 @pytest.mark.parametrize(
     "x,y",
     [(1, 2), (10, 3), (100, 2), (100, 3), (1000, 7), (5000, 13), (300, 300)],

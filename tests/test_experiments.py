@@ -3,22 +3,40 @@ statistical sanity of each run kind at desk scale."""
 
 import json
 import math
+from math import exp
 
+import numpy as np
 import pytest
 
-from friabilis.arith import psi_exact
-from friabilis.errors import ConfigError
+from friabilis import divdist
+from friabilis._backend import BACKEND
+from friabilis.arith import enumerate_smooth, psi_exact
+from friabilis.divdist import (
+    additive_fk,
+    exact_law,
+    model_mean_additive,
+    moments,
+    nudge_off_atom,
+)
+from friabilis.errors import ConfigError, ResourceLimitError
 from friabilis.experiments import (
+    SCHEMA_VERSION,
     ArcsineRow,
+    AverageRow,
     AverageRunConfig,
+    CltRow,
     CltRunConfig,
+    ConcentrationRow,
     ConcentrationRunConfig,
+    RunResult,
+    _reservoir,
     arcsine_check,
     run_average,
     run_clt,
     run_concentration,
 )
 from friabilis.perron import gaussian_tail
+from friabilis.saddle import make_context
 
 X, Y = 10**4, 30  # small enough to enumerate in milliseconds
 
@@ -231,3 +249,214 @@ def test_json_payload_shape():
     assert len(payload["rows"]) == 2
     assert set(payload["rows"][0]) == set(res.header)
     assert payload["rows"][0]["gaussian"] == 0.5
+
+
+# -- the per-n drivers, kept as the oracle of the columnar ones ---------------
+# One Factorization, one DivisorLaw and one nudge_off_atom call per n: the
+# loops the drivers ran before S(x, y) became a table.  The columnar drivers
+# must reproduce their JSON and CSV byte for byte.
+
+
+def oracle_clt(config: CltRunConfig, B: float = 1.0) -> RunResult:
+    stream = (f for f in enumerate_smooth(config.x, config.y) if f.n > 1)
+    selected, total = _reservoir(stream, config.sample_cap, config.seed)
+    selected.sort(key=lambda f: f.n)
+    zs = config.z_grid
+    errors = [[] for _ in zs]
+    exceptional = [0] * len(zs)
+    nudged_counts = [0] * len(zs)
+    for f in selected:
+        mom = moments(f)
+        if mom.w < config.w_min:
+            continue
+        z_cap = B * mom.w**0.25
+        active = [i for i, z in enumerate(zs) if z <= z_cap]
+        if not active:
+            continue
+        law = exact_law(f)
+        half_log_n = 0.5 * f.log_n
+        for i in active:
+            z = zs[i]
+            t, nudged = nudge_off_atom(law, half_log_n + z * mom.sigma)
+            err = abs(law.upper_tail(t) / gaussian_tail(z) - 1.0) * mom.w / (1.0 + z**4)
+            errors[i].append(err)
+            exceptional[i] += err > config.C
+            nudged_counts[i] += nudged
+    rows = tuple(
+        CltRow(
+            z=z,
+            n_tested=len(errs),
+            exceptional_count=exceptional[i],
+            exceptional_fraction=exceptional[i] / len(errs) if errs else 0.0,
+            median_normalized_error=float(np.median(errs)) if errs else 0.0,
+            max_normalized_error=max(errs) if errs else 0.0,
+            nudged=nudged_counts[i],
+        )
+        for i, (z, errs) in enumerate(zip(zs, errors))
+    )
+    meta = {
+        "schema": SCHEMA_VERSION,
+        "kind": "clt",
+        "backend": BACKEND,
+        "x": config.x,
+        "y": config.y,
+        "z_grid": list(zs),
+        "C": config.C,
+        "B": B,
+        "w_min": config.w_min,
+        "seed": config.seed,
+        "sample_cap": config.sample_cap,
+        "psi_gt1": total,
+        "n_selected": len(selected),
+        "sampled": total > config.sample_cap,
+        "quantile_rank_error": 0.0,
+    }
+    return RunResult(rows=rows, meta=meta)
+
+
+def oracle_average(config: AverageRunConfig) -> RunResult:
+    ctx = make_context(config.x, config.y)
+    sigma_bar = ctx.sigma_bar
+    zs = config.z_grid
+    sums = [0.0] * len(zs)
+    nudged_counts = [0] * len(zs)
+    count = 0
+    for f in enumerate_smooth(config.x, config.y):
+        count += 1
+        law = exact_law(f)
+        half_log_n = 0.5 * f.log_n
+        for i, z in enumerate(zs):
+            t, nudged = nudge_off_atom(law, half_log_n + z * sigma_bar)
+            sums[i] += law.upper_tail(t)
+            nudged_counts[i] += nudged
+    rows = []
+    for i, z in enumerate(zs):
+        mean_tail = sums[i] / count
+        gauss = gaussian_tail(z)
+        gap = abs(mean_tail - gauss) * ctx.u_bar / ((1.0 + z**4) * gauss)
+        rows.append(AverageRow(z, count, mean_tail, gauss, gap, nudged_counts[i]))
+    meta = {
+        "schema": SCHEMA_VERSION,
+        "kind": "average",
+        "backend": BACKEND,
+        "x": config.x,
+        "y": config.y,
+        "z_grid": list(zs),
+        "c5": config.c5,
+        "u": ctx.u,
+        "u_bar": ctx.u_bar,
+        "sigma_bar": sigma_bar,
+        "psi": count,
+    }
+    return RunResult(rows=tuple(rows), meta=meta)
+
+
+def oracle_concentration(config: ConcentrationRunConfig) -> RunResult:
+    ctx = make_context(config.x, config.y)
+    sigma_bar = ctx.sigma_bar
+    model_means = {k: model_mean_additive(ctx, k) for k in config.k_list}
+    fk_ratios = {k: [] for k in config.k_list}
+    sigma_ratios = []
+    for f in enumerate_smooth(config.x, config.y):
+        for k in config.k_list:
+            fk_ratios[k].append(additive_fk(f, k) / model_means[k])
+        if f.n > 1:
+            sigma_ratios.append(moments(f).sigma / sigma_bar)
+    rows = []
+    for k in config.k_list:
+        dev = np.abs(np.array(fk_ratios[k]) - 1.0)
+        for d in config.thresholds:
+            rows.append(
+                ConcentrationRow(k, d, float(np.mean(dev > d)), exp(-d * d * ctx.u_bar))
+            )
+    counts, edges = np.histogram(np.array(sigma_ratios), bins=config.bins)
+    meta = {
+        "schema": SCHEMA_VERSION,
+        "kind": "concentration",
+        "backend": BACKEND,
+        "x": config.x,
+        "y": config.y,
+        "k_list": list(config.k_list),
+        "thresholds": list(config.thresholds),
+        "bins": config.bins,
+        "u_bar": ctx.u_bar,
+        "sigma_bar": sigma_bar,
+        "model_means": {str(k): model_means[k] for k in config.k_list},
+        "psi": len(fk_ratios[config.k_list[0]]),
+        "sigma_histogram": {
+            "edges": [float(e) for e in edges],
+            "counts": [int(c) for c in counts],
+        },
+    }
+    return RunResult(rows=tuple(rows), meta=meta)
+
+
+def assert_same_output(got: RunResult, want: RunResult, tmp_path) -> None:
+    assert got.to_json() == want.to_json()
+    a, b = tmp_path / "got.csv", tmp_path / "want.csv"
+    got.write_csv(a)
+    want.write_csv(b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        AverageRunConfig(x=X, y=Y, z_grid=(-0.5, 0.0, 0.5, 1.0)),
+        AverageRunConfig(x=10**5, y=7, z_grid=(-1.0, 0.0, 1.5), c5=2.0),
+        # y = x: every n <= x, the old range-scan case
+        AverageRunConfig(x=3000, y=3000, z_grid=(-0.5, 0.0, 0.7), c5=3.0),
+    ],
+    ids=["negative-and-zero-z", "y7", "y-equals-x"],
+)
+def test_average_matches_per_n_oracle(config, tmp_path):
+    got = run_average(config)
+    assert got.rows[[r.z for r in got.rows].index(0.0)].nudged > 0
+    assert_same_output(got, oracle_average(config), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "config,B",
+    [
+        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 0.5, 1.0, 1.5), C=0.5), 1.0),
+        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 0.5, 1.0, 1.5), w_min=0.7), 0.9),
+        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), w_min=0.8, sample_cap=500, seed=5), 1.2),
+        (CltRunConfig(x=X, y=Y, z_grid=(0.5,)), 0.01),  # the cap leaves no n
+        # y > x: every n <= x, the old range-scan case
+        (CltRunConfig(x=3000, y=5000, z_grid=(0.0, 0.5), sample_cap=700, seed=2), 1.0),
+    ],
+    ids=["full", "w_min-and-B", "sampled", "nothing-active", "y-above-x"],
+)
+def test_clt_matches_per_n_oracle(config, B, tmp_path):
+    assert_same_output(run_clt(config, B=B), oracle_clt(config, B=B), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ConcentrationRunConfig(x=10**5, y=100, k_list=(0, 1, 2, 3, 8), thresholds=(0.0, 0.1, 0.5)),
+        ConcentrationRunConfig(x=2 * 10**4, y=2 * 10**4, k_list=(2, 5), bins=7),
+    ],
+    ids=["y100", "y-equals-x"],
+)
+def test_concentration_matches_per_n_oracle(config, tmp_path):
+    assert_same_output(run_concentration(config), oracle_concentration(config), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "run,oracle,config",
+    [
+        (run_average, oracle_average, AverageRunConfig(x=X, y=Y, z_grid=(0.5,))),
+        (run_clt, oracle_clt, CltRunConfig(x=X, y=Y, z_grid=(0.5,))),
+    ],
+    ids=["average", "clt"],
+)
+def test_tau_ceiling_raises_in_both_paths(run, oracle, config, monkeypatch):
+    # 48 divisors is past a ceiling of 40, and S(1e4, 30) holds such n
+    monkeypatch.setattr(divdist, "TAU_CEILING", 40)
+    monkeypatch.setitem(divdist.exact_law.__kwdefaults__, "tau_ceiling", 40)
+    with pytest.raises(ResourceLimitError) as got:
+        run(config)
+    with pytest.raises(ResourceLimitError) as want:
+        oracle(config)
+    assert str(got.value) == str(want.value)

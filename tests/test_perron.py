@@ -253,3 +253,23 @@ def test_tilt_machinery_random(n):
     val = saddle_tail_approx(f, 0.5).value
     assert 0.0 < val < 0.5
     assert abs(mgf(f, beta + 2.3j)) <= mgf(f, beta).real * (1 + 1e-12)
+
+
+def test_tail_report_on_interior_atoms():
+    # z placed exactly on each interior atom above the mean: the exact tail
+    # is nudged off the atom, and the saddle and Perron tails must be
+    # evaluated at that same resolved t instead of failing on the collision
+    for n in range(2, 121):
+        f = factorize(n)
+        mom = moments(f)
+        half = 0.5 * f.log_n
+        for d in exact_law(f).divisors.tolist():
+            z = (log(d) - half) / mom.sigma
+            if d * d <= n or z >= 0.9 * tail_quantile_domain(f):
+                continue
+            rep = tail_report(f, z, perron=(200.0, 2_000))
+            assert rep.nudged, (n, d)
+            assert rep.saddle == saddle_tail_approx(f, z, t=rep.t).value
+            assert rep.perron == perron_tail_quadrature(f, z, T=200.0, steps=2_000, t=rep.t)
+            # the contour smooths the atom next to t over ~1/T
+            assert abs(rep.perron - rep.exact_tail) <= 0.01 + 1.0 / f.tau, (n, d)
