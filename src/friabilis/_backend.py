@@ -1,23 +1,16 @@
-"""Import-time selection of the kernel backend.
+"""The kernel module, under the name the library and the benchmark harness
+import it by.
 
-The compiled Cython module is preferred; the NumPy fallback is used when the
-extension is missing or when FRIABILIS_PURE_PYTHON=1 forces it (useful for
-the backend benchmark and for debugging).
+`kernels` is friabilis._kernels_py itself.  The module and its BACKEND
+name stay because the harness in perfbench/ wraps the kernels through
+`_backend.kernels` and records `get_backend()` in every run's metadata.
 """
 
-import os
-
-if os.environ.get("FRIABILIS_PURE_PYTHON") == "1":
-    from friabilis import _kernels_py as kernels
-else:
-    try:
-        from friabilis import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from friabilis import _kernels_py as kernels  # type: ignore[no-redef]
+from friabilis import _kernels_py as kernels
 
 BACKEND = kernels.BACKEND_NAME
 
 
 def get_backend():
-    """Name of the active kernel backend: 'compiled' or 'python'."""
+    """Name of the kernel implementation: always 'python' (NumPy)."""
     return BACKEND

@@ -1,9 +1,8 @@
-"""NumPy fallback for the compiled kernels.
+"""The sieve and summation kernels, in NumPy.
 
-Mirrors the call signatures and dtypes of friabilis._kernels exactly; the
-active implementation is chosen once at import time by friabilis._backend.
-Everything here is vectorized NumPy so the fallback stays usable at desk
-scale, just slower than the C loops.
+The library reaches them through friabilis._backend.kernels.  Each sieve
+loops in Python over primes or over divisors d and does its work in
+strided whole-array updates, one per d.
 """
 
 import math
@@ -14,10 +13,11 @@ BACKEND_NAME = "python"
 
 
 def kahan_sum(values):
-    """Compensated sum of a float64 array.
+    """Sum of a float64 array, correctly rounded.
 
-    math.fsum tracks all partial round-off exactly, which is at least as
-    accurate as a Kahan loop.
+    This is math.fsum: it tracks every partial round-off exactly and
+    rounds once at the end, so the result does not depend on the order of
+    the values.
     """
     arr = np.ascontiguousarray(values, dtype=np.float64)
     return math.fsum(arr.tolist())
@@ -113,12 +113,19 @@ def divisor_products(primes, exponents):
 
 
 def tau_sieve(limit):
-    """Divisor counts tau(n) for n in 0..limit (tau[0] = 0)."""
+    """Divisor counts tau(n) for n in 0..limit (tau[0] = 0).
+
+    Divisors of n pair up as d and n/d with d <= sqrt(n), so each
+    d <= isqrt(limit) adds 2 at the multiples n >= d*d; at n = d*d the pair
+    is d twice, which the final -1 takes back.
+    """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     tau = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        tau[d::d] += 1
+    root = math.isqrt(limit)
+    for d in range(1, root + 1):
+        tau[d * d :: d] += 2
+    tau[np.arange(1, root + 1) ** 2] -= 1
     return tau
 
 

@@ -189,7 +189,8 @@ def factorize(n) -> Factorization:
     """Factor n by trial division over sieved primes.
 
     n must satisfy 1 <= n < 2**62 so downstream divisor products stay in
-    int64.  Trial primes stop at min(sqrt(n), SIEVE_CEILING); a cofactor
+    int64.  Trial primes stop at min(sqrt(n), SIEVE_CEILING), and one
+    vectorized n % p pass over them picks the ones that divide n; a cofactor
     small enough to have been reached by that range is prime, and anything
     larger raises ResourceLimitError rather than guessing.
     """
@@ -203,15 +204,13 @@ def factorize(n) -> Factorization:
     factors = []
     m = n
     bound = min(isqrt(n), SIEVE_CEILING)
-    for p in sieve_primes(bound).tolist():
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
+    primes = sieve_primes(bound)
+    for p in primes[n % primes == 0].tolist():  # n < 2**62 fits in int64
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors.append((p, e))
     if m > 1:
         if isqrt(m) > bound:
             raise ResourceLimitError(

@@ -118,17 +118,6 @@ def dickman_rho(u, table: RhoTable | None = None) -> float:
     return max(table.interpolate(u), 0.0)
 
 
-def rho_asymptotic_ratio(u, table: RhoTable | None = None) -> float:
-    """Sanity ratio log rho(u) / (-u log u), loosely near 1 for large u."""
-    u = float(u)
-    if u <= 1.0:
-        raise DomainError("asymptotic ratio needs u > 1")
-    value = dickman_rho(u, table)
-    if value <= 0.0:
-        raise DomainError("rho(u) is below the table noise floor")
-    return log(value) / (-u * log(u))
-
-
 def psi_dickman_estimate(x, y, table: RhoTable | None = None) -> float:
     """Dickman leading-order estimate x * rho(log x / log y) of |S(x, y)|."""
     x = float(x)

@@ -374,16 +374,3 @@ def model_mean_additive(ctx: SaddleContext, k: int, *, rel_tol: float = 1e-15) -
         if nu > 100000:
             raise ResourceLimitError("nu-sum failed to converge")
     return kernels.kahan_sum(acc * (1.0 - r))
-
-
-def omega_window(f: Factorization, ctx: SaddleContext) -> int:
-    """Count of p^nu || n with sqrt(y) < p <= y and u/(2 u_bar) <= nu
-    <= 2u/u_bar: the window where typical prime-power factors live."""
-    root_y = sqrt(ctx.y)
-    lo = ctx.u / (2.0 * ctx.u_bar)
-    hi = 2.0 * ctx.u / ctx.u_bar
-    count = 0
-    for p, e in f.factors:
-        if p > root_y and p <= ctx.y and lo <= e <= hi:
-            count += 1
-    return count

@@ -129,36 +129,25 @@ def log_mgf(f: Factorization, s: float) -> float:
     return total
 
 
-def mgf(f: Factorization, s) -> complex:
+def mgf(f: Factorization, s):
     """Z(s) = E exp(s log d) for complex s, as the product over p^e || n of
     the equal-weight geometric sums (1/(e+1)) sum_j p^{js}.
 
+    s is a scalar, for which the result is a complex, or an array of any
+    shape, evaluated elementwise into a complex128 array of that shape.
     The sum form is entire, so there are no pole special cases.
     """
-    s = complex(s)
-    out = complex(1.0)
+    grid = np.asarray(s, dtype=np.complex128)
+    out = np.ones_like(grid)
     for p, e in f.factors:
-        step = np.exp(log(p) * s)
-        acc = complex(1.0)
-        term = complex(1.0)
-        for _ in range(e):
-            term *= step
-            acc += term
-        out *= acc / (e + 1)
-    return out
-
-
-def _mgf_on_grid(f: Factorization, s: np.ndarray) -> np.ndarray:
-    out = np.ones_like(s)
-    for p, e in f.factors:
-        step = np.exp(log(p) * s)
-        acc = np.ones_like(s)
-        term = np.ones_like(s)
+        step = np.exp(log(p) * grid)
+        acc = np.ones_like(grid)
+        term = np.ones_like(grid)
         for _ in range(e):
             term = term * step
             acc = acc + term
         out *= acc / (e + 1)
-    return out
+    return complex(out) if out.ndim == 0 else out
 
 
 def gaussian_tail(z) -> float:
@@ -331,7 +320,7 @@ def perron_tail_quadrature(
         nodes = (mid[:, None] + (0.5 * panel) * _GL_X[None, :]).ravel()
         wts = np.broadcast_to(0.5 * panel * _GL_W, (stop - start, 4)).ravel()
         s = beta + 1j * nodes
-        vals = _mgf_on_grid(f, s) * np.exp(-t * s) / s
+        vals = mgf(f, s) * np.exp(-t * s) / s
         total += float(np.dot(wts, vals.real))
     return total / pi
 

@@ -185,32 +185,3 @@ def psi_saddle_estimate(ctx: SaddleContext) -> float:
     """Saddle-point estimate x^alpha zeta(alpha, y) / (alpha sqrt(2 pi
     sigma2_star)), assembled in log space to dodge overflow."""
     return exp(psi_saddle_log(ctx))
-
-
-@dataclass(frozen=True)
-class AlphaAsymptotics:
-    """Numeric report comparing alpha to its first-order shapes.
-
-    alpha_ratio:   alpha / [log(1 + y/log x) / log y]
-    y_alpha_ratio: y^alpha / (1 + y/log x); bounded away from 0
-    hl_log_gap:    (1 - alpha) log y - log(u_bar log(u_bar + 1))
-    """
-
-    alpha: float
-    alpha_ratio: float
-    y_alpha_ratio: float
-    hl_log_gap: float
-
-
-def alpha_asymptotic_check(ctx: SaddleContext) -> AlphaAsymptotics:
-    log_x = log(ctx.x)
-    log_y = log(ctx.y)
-    leading = log(1.0 + ctx.y / log_x) / log_y
-    y_alpha = exp(ctx.alpha * log_y)
-    gap = (1.0 - ctx.alpha) * log_y - log(ctx.u_bar * log(ctx.u_bar + 1.0))
-    return AlphaAsymptotics(
-        alpha=ctx.alpha,
-        alpha_ratio=ctx.alpha / leading,
-        y_alpha_ratio=y_alpha / (1.0 + ctx.y / log_x),
-        hl_log_gap=gap,
-    )

@@ -18,7 +18,6 @@ from friabilis.divdist import (
     model_mean_additive,
     moments,
     nudge_off_atom,
-    omega_window,
 )
 from friabilis.errors import DomainError, ResourceLimitError
 from friabilis.saddle import make_context
@@ -164,15 +163,6 @@ def test_model_mean_k0_matches_direct_sum():
     assert model_mean_additive(ctx, 0) == pytest.approx(direct, rel=1e-12)
     with pytest.raises(DomainError):
         model_mean_additive(ctx, 9)
-
-
-def test_omega_window_counts():
-    ctx = make_context(10**6, 100)
-    # window: p in (10, 100], nu in [u/(2 u_bar), 2u/u_bar] = [0.5, 2]
-    assert omega_window(factorize(11 * 13), ctx) == 2
-    assert omega_window(factorize(11**3), ctx) == 0  # nu too big
-    assert omega_window(factorize(7), ctx) == 0  # below sqrt(y)
-    assert omega_window(Factorization(()), ctx) == 0
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,6 @@ import pytest
 from friabilis.arith import psi_exact, sieve_primes
 from friabilis.errors import DomainError
 from friabilis.saddle import (
-    alpha_asymptotic_check,
     make_context,
     psi_saddle_estimate,
     psi_saddle_log,
@@ -131,10 +130,3 @@ def test_psi_saddle_log_consistent():
     assert math.exp(psi_saddle_log(ctx)) == pytest.approx(
         psi_saddle_estimate(ctx), rel=1e-12
     )
-
-
-def test_alpha_asymptotic_check_fields():
-    chk = alpha_asymptotic_check(make_context(10**6, 50))
-    assert chk.alpha > 0
-    assert chk.alpha_ratio > 0
-    assert math.isfinite(chk.hl_log_gap)
