@@ -6,6 +6,7 @@ strided whole-array updates, one per d.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -129,41 +130,73 @@ def tau_sieve(limit):
     return tau
 
 
+_MAX_DENOM = 100  # largest k of a fraction j/k that v snaps to
+
+
 def small_divisor_count_sieve(limit, v):
     """Counts of divisors d of n with d <= n**v, for every n in 0..limit.
 
-    Only divisors d with d**(1/v) <= limit can contribute, so the outer loop
-    is short for v < 1.  Thresholds are resolved exactly in integers when 1/v
-    is integral (the cases the arcsine comparison uses).
+    Divisors pair up as d and e = n/d, and d <= n**v exactly when
+    e >= n**(1-v).  So for v <= 1/2 each d adds 1 at the multiples n with
+    d <= n**v, and for v > 1/2 the count is tau(n) less the divisors
+    e < n**(1-v).  Either way only d (or e) <= sqrt(limit) can contribute.
+    When v is within 1e-12 of a fraction j/k with k <= _MAX_DENOM, the edge
+    d = n**v is decided exactly, as d**k <= n**j in integers; otherwise it
+    is decided by comparing float logs.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if not 0.0 < v <= 1.0:
         raise ValueError("v must lie in (0, 1]")
-    out = np.zeros(limit + 1, dtype=np.int64)
-    inv = 1.0 / v
-    inv_int = round(inv)
-    exact = abs(inv - inv_int) < 1e-12
+    frac = Fraction(v).limit_denominator(_MAX_DENOM)
+    exact = frac > 0 and abs(v - frac) < 1e-12
+    if v <= 0.5:
+        out = np.zeros(limit + 1, dtype=np.int64)
+        c, step, strict = (frac if exact else v), 1, False
+    else:
+        out = tau_sieve(limit)
+        if exact and frac == 1:
+            return out
+        c, step, strict = (1 - frac if exact else 1.0 - v), -1, True
+    if exact:
+        c = (c.numerator, c.denominator)
     for d in range(1, limit + 1):
-        m0 = _pow_threshold(d, v, inv_int if exact else None)
+        m0 = _least_n(d, c, strict, limit)
         if m0 > limit:
             break
-        start = ((m0 + d - 1) // d) * d
-        if start > limit:
-            continue
-        out[start::d] += 1
+        start = -(-m0 // d) * d  # first multiple of d at or past m0
+        out[start::d] += step
     return out
 
 
-def _pow_threshold(d, v, inv_int):
-    """Smallest integer m with d <= m**v, exact when 1/v is integral."""
-    if inv_int is not None:
-        return d**inv_int
-    if d == 1:
-        return 1
-    m0 = max(1, math.floor(d ** (1.0 / v)))
-    while v * math.log(m0) < math.log(d):
-        m0 += 1
-    while m0 > 1 and v * math.log(m0 - 1) >= math.log(d):
-        m0 -= 1
-    return m0
+def _least_n(d, c, strict, limit):
+    """Smallest integer m >= 1 with d <= m**c (d < m**c when strict).
+
+    c in (0, 1) is a pair (j, k) for c = j/k, compared exactly as m**j
+    against d**k in integers, or a float, compared through logs, in which
+    case an m past limit may be returned as limit + 1.
+    """
+    if isinstance(c, tuple):
+        j, k = c
+        target = d**k + strict  # m**j >= target
+        if j == 1:
+            return target
+        m = max(1, round(math.exp(math.log(target) / j)))
+        while m**j < target:
+            m += 1
+        while m > 1 and (m - 1) ** j >= target:
+            m -= 1
+        return m
+    if math.log(d) > c * (math.log(limit + 1) + 1.0):
+        return limit + 1  # keeps d ** (1 / c) below float overflow
+
+    def holds(m):
+        lhs, rhs = c * math.log(m), math.log(d)
+        return lhs > rhs if strict else lhs >= rhs
+
+    m = max(1, math.floor(d ** (1.0 / c)))
+    while not holds(m):
+        m += 1
+    while m > 1 and holds(m - 1):
+        m -= 1
+    return m

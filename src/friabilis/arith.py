@@ -6,8 +6,6 @@ two independent methods.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, log
@@ -23,112 +21,45 @@ ENUM_CEILING = 10**8  # largest admissible |S(x, y)| per enumeration
 MEMO_CEILING = 10**7  # largest admissible recursion memo table
 N_CEILING = 2**62  # divisor products must stay inside int64
 
-CACHE_ENV = "FRIABILIS_CACHE"
-_CACHE_MAGIC = b"FBSV"
-_CACHE_VERSION = 1
-
-
-def _cache_path(cache_dir: str, limit: int) -> str:
-    return os.path.join(cache_dir, f"sieve_{limit}.bits")
-
-
-def _write_sieve_cache(path: str, limit: int, mask: np.ndarray) -> None:
-    # little-endian header: magic, version u16, limit u64, then packed bits
-    payload = np.packbits(mask.view(np.uint8), bitorder="little").tobytes()
-    header = _CACHE_MAGIC + struct.pack("<HQ", _CACHE_VERSION, limit)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
-
-
-def _read_sieve_cache(path: str, limit: int) -> np.ndarray | None:
-    try:
-        with open(path, "rb") as fh:
-            header = fh.read(len(_CACHE_MAGIC) + 10)
-            if len(header) < len(_CACHE_MAGIC) + 10:
-                return None
-            if header[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-                return None
-            version, stored = struct.unpack("<HQ", header[len(_CACHE_MAGIC) :])
-            if version != _CACHE_VERSION or stored != limit:
-                return None
-            payload = fh.read()
-    except OSError:
-        return None
-    bits = np.frombuffer(payload, dtype=np.uint8)
-    mask = np.unpackbits(bits, count=limit + 1, bitorder="little")
-    return mask.view(np.bool_)
-
 
 class _PrimeCache:
-    """One prime mask per process and its primes as a read-only array.
+    """The primes up to the largest limit sieved so far, as a read-only array.
 
-    The mask grows geometrically, to at most SIEVE_CEILING unless a larger
-    limit is asked for, so a run of requests with rising limits sieves a
-    logarithmic number of times and every answer is a slice.
+    The sieved range grows geometrically, to at most SIEVE_CEILING, so a run
+    of requests with rising limits sieves a logarithmic number of times and
+    every answer is a slice.
     """
 
     def __init__(self):
-        self.mask = np.zeros(0, dtype=np.bool_)
+        self.size = 0  # integers 0..size-1 are sieved
         self.primes = np.zeros(0, dtype=np.int64)
 
-    def adopt(self, mask: np.ndarray) -> None:
-        if len(mask) > len(self.mask):
-            self.mask = mask
-            self.primes = np.flatnonzero(mask).astype(np.int64)
-            self.mask.flags.writeable = False
-            self.primes.flags.writeable = False
-
-    def mask_upto(self, limit: int) -> np.ndarray:
-        if limit >= len(self.mask):
-            grown = min(2 * len(self.mask), SIEVE_CEILING)
-            self.adopt(kernels.prime_mask(max(limit, grown)))
-        return self.mask[: limit + 1]
-
     def primes_upto(self, limit: int) -> np.ndarray:
-        self.mask_upto(limit)
+        if limit >= self.size:
+            grown = max(limit, min(2 * self.size, SIEVE_CEILING))
+            self.primes = np.flatnonzero(kernels.prime_mask(grown)).astype(np.int64)
+            self.primes.flags.writeable = False
+            self.size = grown + 1
         return self.primes[: np.searchsorted(self.primes, limit, side="right")]
 
 
 _primes = _PrimeCache()
 
 
-def sieve_primes(limit, *, ceiling: int = SIEVE_CEILING, cache_dir: str | None = None):
-    """All primes <= limit as an ascending int64 array (read-only when it
-    comes from the in-process sieve).
+def sieve_primes(limit) -> np.ndarray:
+    """All primes <= limit as an ascending, read-only int64 array.
 
-    Parameters
-    ----------
-    limit : int
-        Upper bound, inclusive.  Values below 2 give an empty array.
-    ceiling : int
-        Resource guard; limits above it raise ResourceLimitError.
-    cache_dir : str, optional
-        Directory for the versioned bitset cache.  Defaults to the
-        FRIABILIS_CACHE environment variable; caching is off when neither
-        is set.
+    Values below 2 give an empty array; limits above SIEVE_CEILING raise
+    ResourceLimitError before any sieving.
     """
     limit = int(limit)
-    if limit > ceiling:
+    if limit > SIEVE_CEILING:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds ceiling {ceiling}"
+            f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}"
         )
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
-    if not directory:
-        return _primes.primes_upto(limit)
-    path = _cache_path(directory, limit)
-    mask = _read_sieve_cache(path, limit)
-    if mask is None:
-        mask = _primes.mask_upto(limit)
-        os.makedirs(directory, exist_ok=True)
-        _write_sieve_cache(path, limit, mask)
-    else:
-        _primes.adopt(mask)
-    return np.flatnonzero(mask).astype(np.int64)
+    return _primes.primes_upto(limit)
 
 
 @dataclass(frozen=True)
@@ -179,10 +110,6 @@ class Factorization:
 
     def is_smooth(self, y) -> bool:
         return self.max_prime <= y
-
-    @classmethod
-    def from_int(cls, n) -> "Factorization":
-        return factorize(n)
 
 
 def factorize(n) -> Factorization:
@@ -372,11 +299,11 @@ class SmoothSet:
         return psi_exact(self.x, self.y, limit=self.limit)
 
 
-def enumerate_smooth(x, y, *, limit: int = ENUM_CEILING) -> SmoothSet:
+def enumerate_smooth(x, y) -> SmoothSet:
     """The stream of y-smooth integers n <= x, ascending, as Factorizations.
 
     Starting the stream raises ResourceLimitError, before the first item,
-    if the count passes `limit`.
+    if the count passes ENUM_CEILING.
     """
     x = int(x)
     y = int(y)
@@ -384,14 +311,25 @@ def enumerate_smooth(x, y, *, limit: int = ENUM_CEILING) -> SmoothSet:
         raise DomainError("x must be >= 1")
     if y < 2:
         raise DomainError("y must be >= 2")
-    return SmoothSet(x, y, limit)
+    return SmoothSet(x, y)
+
+
+def _psi_floor(x: int, primes: np.ndarray) -> int:
+    """A lower bound on |S(x, y)|, given the primes <= min(x, y): n = 1, the
+    primes themselves and the products pq <= x with p <= q, all distinct."""
+    x = min(x, N_CEILING)  # keeps x // p in int64; a smaller x bounds lower
+    q_max = np.searchsorted(primes, x // primes, side="right")
+    pairs = np.maximum(q_max - np.arange(len(primes)), 0)
+    return 1 + len(primes) + int(pairs.sum())
 
 
 def psi_exact(x, y, *, limit: int = ENUM_CEILING) -> int:
     """|S(x, y)| by explicit enumeration (depth-first product walk).
 
     Every smooth integer is visited once; no counting identities are used,
-    which keeps this independent of psi_recursive.
+    which keeps this independent of psi_recursive.  When the count passes
+    `limit` it raises ResourceLimitError, before walking at all if
+    _psi_floor already does.
     """
     x = int(x)
     y = int(y)
@@ -399,7 +337,14 @@ def psi_exact(x, y, *, limit: int = ENUM_CEILING) -> int:
         return 0
     if y < 2:
         return 1
-    primes = sieve_primes(min(x, y)).tolist()
+    primes = sieve_primes(min(x, y))
+    floor = _psi_floor(x, primes)
+    if floor > limit:
+        raise ResourceLimitError(
+            f"enumeration of S({x}, {y}) exceeds ceiling {limit}: "
+            f"it has at least {floor} elements"
+        )
+    primes = primes.tolist()
     total = 0
     stack = [(x, 0)]
     while stack:
@@ -417,7 +362,7 @@ def psi_exact(x, y, *, limit: int = ENUM_CEILING) -> int:
     return total
 
 
-def psi_recursive(x, y, *, memo_limit: int = MEMO_CEILING) -> int:
+def psi_recursive(x, y) -> int:
     """|S(x, y)| via the memoized recursion Psi(x, y) = 1 + sum over p <= y
     of Psi(x/p, p), splitting on the largest prime factor.
     """
@@ -443,8 +388,8 @@ def psi_recursive(x, y, *, memo_limit: int = MEMO_CEILING) -> int:
         total = 1
         for j in range(k):
             total += rec(bound // primes[j], j + 1)
-        if len(memo) >= memo_limit:
-            raise ResourceLimitError(f"memo table exceeds ceiling {memo_limit}")
+        if len(memo) >= MEMO_CEILING:
+            raise ResourceLimitError(f"memo table exceeds ceiling {MEMO_CEILING}")
         memo[key] = total
         return total
 

@@ -82,11 +82,7 @@ def _emit_result(result: RunResult, args) -> int:
     if args.json:
         print(result.to_json())
     if not args.out and not args.json:
-        print(f"# schema={SCHEMA_VERSION}")
-        print(",".join(result.header))
-        for row in result.rows:
-            cells = [getattr(row, name) for name in result.header]
-            print(",".join(repr(c) if isinstance(c, float) else str(c) for c in cells))
+        result.dump_csv(sys.stdout)
     return 0
 
 

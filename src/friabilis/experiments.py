@@ -59,13 +59,16 @@ class RunResult:
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# schema={SCHEMA_VERSION}\n")
-            fh.write(",".join(self.header) + "\n")
-            for row in self.rows:
-                cells = (
-                    _csv_cell(getattr(row, name)) for name in self.header
-                )
-                fh.write(",".join(cells) + "\n")
+            self.dump_csv(fh)
+
+    def dump_csv(self, fh) -> None:
+        """Write the schema line, the header and the rows as CSV to the
+        text stream fh."""
+        fh.write(f"# schema={SCHEMA_VERSION}\n")
+        fh.write(",".join(self.header) + "\n")
+        for row in self.rows:
+            cells = (_csv_cell(getattr(row, name)) for name in self.header)
+            fh.write(",".join(cells) + "\n")
 
     def to_json(self) -> str:
         payload = {

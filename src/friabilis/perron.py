@@ -163,17 +163,20 @@ def tail_quantile_domain(f: Factorization) -> float:
     return f.log_n / (2.0 * mom.sigma)
 
 
-def solve_beta(
-    f: Factorization, z, *, tol: float = 1e-10, max_iter: int = 100, t: float | None = None
-) -> float:
+_BETA_TOL = 1e-10
+_BETA_MAX_ITER = 100
+
+
+def solve_beta(f: Factorization, z, *, t: float | None = None) -> float:
     """The tilt beta >= 0 with (log Z)'(beta) = t, where t defaults to
     half log n + z sigma.
 
-    Newton iteration guarded by a maintained bracket; the residual stops
-    under tol * log n.  z must lie in [0, log n / (2 sigma)); the supremum
-    itself (and anything past it) is outside the reachable range.  A given
-    t is the query after nudge_off_atom moved it (within 64e-9 log n of
-    the z threshold); z = 0 keeps beta = 0 whatever t is.
+    Newton iteration guarded by a maintained bracket, for at most
+    _BETA_MAX_ITER steps; the residual stops under _BETA_TOL * log n.  z must
+    lie in [0, log n / (2 sigma)); the supremum itself (and anything past
+    it) is outside the reachable range.  A given t is the query after
+    nudge_off_atom moved it (within 64e-9 log n of the z threshold); z = 0
+    keeps beta = 0 whatever t is.
     """
     z = float(z)
     mom = moments(f)
@@ -189,7 +192,7 @@ def solve_beta(
         raise DomainError(
             f"z = {z} is at or beyond the supremum {log_n / (2 * mom.sigma)}"
         )
-    resid_tol = tol * log_n
+    resid_tol = _BETA_TOL * log_n
 
     lo = 0.0
     hi = 1.0
@@ -204,7 +207,7 @@ def solve_beta(
     beta = min(hi, z * mom.sigma / mom.m2)  # first-order guess
     if beta <= lo:
         beta = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_BETA_MAX_ITER):
         r = log_mgf_derivative(f, beta, 1) - target
         if abs(r) <= resid_tol:
             return beta
@@ -235,13 +238,11 @@ class SaddleTail:
     exponent: float
 
 
-def saddle_tail_approx(
-    f: Factorization, z, *, tol: float = 1e-10, t: float | None = None
-) -> SaddleTail:
+def saddle_tail_approx(f: Factorization, z, *, t: float | None = None) -> SaddleTail:
     """Approximate P(log d >= t) by tilting the law; t defaults to
     half log n + z sigma (see solve_beta)."""
     z = float(z)
-    beta = solve_beta(f, z, tol=tol, t=t)
+    beta = solve_beta(f, z, t=t)
     mom = moments(f)
     curv = log_mgf_derivative(f, beta, 2)
     mu2 = sqrt(curv)

@@ -19,22 +19,12 @@ ALPHA_TOL = 1e-12
 _BISECT_STEPS = 60
 _NEWTON_STEPS = 8
 
-# prime logs keyed by y; contexts at many x share the same y
-_logp_cache: dict[int, np.ndarray] = {}
-_LOGP_CACHE_SLOTS = 8
-
 
 def _log_primes(y: int) -> np.ndarray:
-    arr = _logp_cache.get(y)
-    if arr is None:
-        primes = sieve_primes(y)
-        if primes.size == 0:
-            raise DomainError("no primes <= y; need y >= 2")
-        arr = np.log(primes.astype(np.float64))
-        if len(_logp_cache) >= _LOGP_CACHE_SLOTS:
-            _logp_cache.pop(next(iter(_logp_cache)))
-        _logp_cache[y] = arr
-    return arr
+    primes = sieve_primes(y)
+    if primes.size == 0:
+        raise DomainError("no primes <= y; need y >= 2")
+    return np.log(primes.astype(np.float64))
 
 
 def zeta_partial_log(s, y) -> float:
@@ -73,13 +63,13 @@ def sigma_bar_sq(alpha, y) -> float:
     return 0.5 * kernels.kahan_sum(lp * lp * (t + 2.0 / 3.0) / (t * t))
 
 
-def solve_alpha(x, y, *, tol: float = ALPHA_TOL) -> float:
+def solve_alpha(x, y) -> float:
     """The unique positive root of sum over p <= y of log p/(p^alpha - 1)
     = log x.
 
     Bracketed bisection (doubling the upper end until the sign flips)
     followed by Newton polish; stops once the residual drops under
-    tol * log x.  Requires x >= y >= 2.
+    ALPHA_TOL * log x.  Requires x >= y >= 2.
     """
     x = float(x)
     y = int(y)
@@ -89,7 +79,7 @@ def solve_alpha(x, y, *, tol: float = ALPHA_TOL) -> float:
         raise DomainError("x must be >= y")
     lp = _log_primes(y)
     log_x = log(x)
-    target = tol * log_x
+    target = ALPHA_TOL * log_x
 
     lo, hi = 1e-6, 2.0
     r_lo = _tilt_residual(lo, lp, log_x)
@@ -129,8 +119,7 @@ def solve_alpha(x, y, *, tol: float = ALPHA_TOL) -> float:
 class SaddleContext:
     """Everything the estimates need at one (x, y), computed once.
 
-    u = log x / log y, u_bar = min(u, pi(y)); prime logs are cached per y
-    across contexts.
+    u = log x / log y, u_bar = min(u, pi(y)).
     """
 
     x: float
@@ -143,32 +132,29 @@ class SaddleContext:
     sigma_bar_sq: float
     log_primes: np.ndarray = field(repr=False)
 
-    @classmethod
-    def build(cls, x, y, *, tol: float = ALPHA_TOL) -> "SaddleContext":
-        x = float(x)
-        y = int(y)
-        alpha = solve_alpha(x, y, tol=tol)
-        lp = _log_primes(y)
-        u = log(x) / log(y)
-        return cls(
-            x=x,
-            y=y,
-            u=u,
-            u_bar=min(u, float(lp.size)),
-            alpha=alpha,
-            log_zeta=zeta_partial_log(alpha, y),
-            sigma2_star=sigma2_star(alpha, y),
-            sigma_bar_sq=sigma_bar_sq(alpha, y),
-            log_primes=lp,
-        )
-
     @property
     def sigma_bar(self) -> float:
         return sqrt(self.sigma_bar_sq)
 
 
-def make_context(x, y, *, tol: float = ALPHA_TOL) -> SaddleContext:
-    return SaddleContext.build(x, y, tol=tol)
+def make_context(x, y) -> SaddleContext:
+    """The SaddleContext at (x, y); requires x >= y >= 2."""
+    x = float(x)
+    y = int(y)
+    alpha = solve_alpha(x, y)
+    lp = _log_primes(y)
+    u = log(x) / log(y)
+    return SaddleContext(
+        x=x,
+        y=y,
+        u=u,
+        u_bar=min(u, float(lp.size)),
+        alpha=alpha,
+        log_zeta=zeta_partial_log(alpha, y),
+        sigma2_star=sigma2_star(alpha, y),
+        sigma_bar_sq=sigma_bar_sq(alpha, y),
+        log_primes=lp,
+    )
 
 
 def psi_saddle_log(ctx: SaddleContext) -> float:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from friabilis.arith import (
     ENUM_CEILING,
+    SIEVE_CEILING,
     Factorization,
     SmoothSet,
+    _psi_floor,
     enumerate_smooth,
     factorize,
     psi_exact,
@@ -92,24 +94,16 @@ def test_sieve_primes_small():
     assert sieve_primes(50).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def test_sieve_cache_roundtrip(tmp_path):
-    first = sieve_primes(10_000, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    second = sieve_primes(10_000, cache_dir=str(tmp_path))
-    np.testing.assert_array_equal(first, second)
+def test_sieve_ceiling_refuses_before_sieving(monkeypatch):
+    from friabilis import arith
 
+    def no_sieve(limit):
+        raise AssertionError(f"sieved {limit} past the ceiling")
 
-def test_sieve_cache_rejects_corruption(tmp_path):
-    sieve_primes(2_000, cache_dir=str(tmp_path))
-    path = next(tmp_path.iterdir())
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    # corrupt magic falls back to a fresh sieve rather than bad primes
-    np.testing.assert_array_equal(
-        sieve_primes(2_000, cache_dir=str(tmp_path)), sieve_primes(2_000)
-    )
+    monkeypatch.setattr(arith, "_primes", arith._PrimeCache())
+    monkeypatch.setattr(arith.kernels, "prime_mask", no_sieve)
+    with pytest.raises(ResourceLimitError, match=str(SIEVE_CEILING)):
+        sieve_primes(SIEVE_CEILING + 1)
 
 
 def test_sieve_slices_one_growing_mask(monkeypatch):
@@ -192,6 +186,24 @@ def test_psi_conventions_and_limits():
     with pytest.raises(ResourceLimitError):
         psi_exact(10**6, 97, limit=100)
     assert ENUM_CEILING >= 10**8
+
+
+def test_psi_floor_is_a_lower_bound():
+    # y >= x on part of the grid: there the floor counts every prime <= x
+    for x in [1, 2, 3, 4, 10, 30, 97, 100, 360, 1000, 4096]:
+        for y in [2, 3, 5, 13, 97, 1000, 5000]:
+            floor = _psi_floor(x, sieve_primes(min(x, y)))
+            assert floor <= psi_recursive(x, y), (x, y)
+    # past int64 the floor is taken at a smaller x and the walk still runs
+    assert psi_exact(10**20, 3) == psi_recursive(10**20, 3)
+
+
+def test_psi_exact_refuses_before_walking():
+    # the floor at (1e12, 1e6) is 3.08e9, far past a 5M budget
+    floor = _psi_floor(10**12, sieve_primes(10**6))
+    assert floor > 3 * 10**9
+    with pytest.raises(ResourceLimitError, match=str(floor)):
+        psi_exact(10**12, 10**6, limit=5_000_000)
 
 
 @given(

@@ -46,6 +46,14 @@ def test_saddle_json(capsys):
     assert payload["psi_exact"] == psi_exact(1000, 10)
 
 
+def test_saddle_json_omits_psi_exact_past_the_budget(capsys):
+    code, out, _ = run_cli(capsys, "saddle", "--x", "1e12", "--y", "1e6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "psi_exact" not in payload
+    assert payload["psi_saddle"] > 0
+
+
 def test_divdist_summary(capsys):
     code, out, _ = run_cli(capsys, "divdist", "--n", "60")
     assert code == 0
@@ -163,6 +171,22 @@ def test_arcsine(capsys):
     lines = out.splitlines()
     assert lines[1] == "v,empirical,limit,gap"
     assert len(lines) == 4  # default vs = 0.25, 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("clt", "--x", "1e4", "--y", "30", "--z-grid", "0,0.5,1", "--sample-cap", "500"),
+        ("arcsine", "--x", "10000", "--vs", "0.25,0.5,0.75"),
+    ],
+)
+def test_stdout_csv_matches_out_file(tmp_path, capsys, argv):
+    path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, quiet, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and quiet == ""
+    assert out.encode("utf-8") == path.read_bytes()
 
 
 def test_resource_limit_exit_code(capsys, monkeypatch):

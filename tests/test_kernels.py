@@ -49,6 +49,25 @@ def test_small_divisor_count_against_definition(v):
         assert counts[n] == exact, (n, v, counts[n], exact, brute)
 
 
+def test_small_divisor_count_rational_edges():
+    # at v = j/k the edge d = n^v is an integer whenever n is a k-th power,
+    # so the brute count decides d <= n^v as d^k <= n^j in integers
+    limit = 20_000
+    divisors = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for n in range(d, limit + 1, d):
+            divisors[n].append(d)
+    for j, k in [(1, 4), (1, 3), (1, 2), (3, 5), (2, 3), (3, 4), (1, 1)]:
+        counts = kpy.small_divisor_count_sieve(limit, j / k)
+        brute = [0] + [
+            sum(1 for d in divisors[n] if d**k <= n**j) for n in range(1, limit + 1)
+        ]
+        np.testing.assert_array_equal(counts, brute, err_msg=f"v = {j}/{k}")
+    np.testing.assert_array_equal(
+        kpy.small_divisor_count_sieve(limit, 1.0), kpy.tau_sieve(limit)
+    )
+
+
 def _le_pow(d: int, n: int, v: float) -> bool:
     # d <= n^v with the edge decided in exact integers when 1/v is integral
     inv = 1.0 / v
