@@ -18,6 +18,7 @@ from friabilis.errors import ConvergenceError, DomainError
 ALPHA_TOL = 1e-12
 _BISECT_STEPS = 60
 _NEWTON_STEPS = 8
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _log_primes(y: int) -> np.ndarray:
@@ -39,6 +40,31 @@ def zeta_partial_log(s, y) -> float:
 def _tilt_residual(alpha: float, lp: np.ndarray, log_x: float) -> float:
     # sum log p / (p^alpha - 1) - log x, strictly decreasing in alpha
     return kernels.kahan_sum(lp / np.expm1(alpha * lp)) - log_x
+
+
+def _tilt_side(alpha: float, lp: np.ndarray, log_x: float, target: float) -> int:
+    """Where _tilt_residual(alpha) lies: 1 above target, -1 below -target,
+    0 within target of zero.
+
+    The answer is always the correctly rounded residual's.  The terms are
+    positive, so np.sum is within len * eps * sum of their exact sum; the
+    slack below covers that and the final subtractions twice over, and the
+    math.fsum of kahan_sum runs only when the cheap sum cannot decide.
+    """
+    terms = lp / np.expm1(alpha * lp)
+    cheap = float(np.sum(terms))
+    r = cheap - log_x
+    slack = (terms.size + 4) * _EPS * (cheap + log_x)
+    if r - slack > target:
+        return 1
+    if r + slack < -target:
+        return -1
+    if abs(r) + slack < target:
+        return 0
+    r = kernels.kahan_sum(terms) - log_x
+    if abs(r) <= target:
+        return 0
+    return 1 if r > 0 else -1
 
 
 def sigma2_star(alpha, y) -> float:
@@ -82,11 +108,10 @@ def solve_alpha(x, y) -> float:
     target = ALPHA_TOL * log_x
 
     lo, hi = 1e-6, 2.0
-    r_lo = _tilt_residual(lo, lp, log_x)
-    if r_lo < 0:
+    if _tilt_side(lo, lp, log_x, 0.0) < 0:
         raise ConvergenceError("residual negative at the bracket floor")
     for _ in range(64):
-        if _tilt_residual(hi, lp, log_x) < 0:
+        if _tilt_side(hi, lp, log_x, 0.0) < 0:
             break
         lo = hi
         hi *= 2.0
@@ -96,10 +121,10 @@ def solve_alpha(x, y) -> float:
     alpha = 0.5 * (lo + hi)
     for _ in range(_BISECT_STEPS):
         alpha = 0.5 * (lo + hi)
-        r = _tilt_residual(alpha, lp, log_x)
-        if abs(r) <= target:
+        side = _tilt_side(alpha, lp, log_x, target)
+        if side == 0:
             return alpha
-        if r > 0:
+        if side > 0:
             lo = alpha
         else:
             hi = alpha

@@ -94,6 +94,14 @@ def test_tail_with_perron(capsys):
     assert abs(payload["perron"] - payload["exact_tail"]) < 1e-3
 
 
+@pytest.mark.parametrize("T", ["nan", "inf", "-inf", "0.5"])
+def test_tail_perron_rejects_bad_T(capsys, T):
+    code, out, err = run_cli(capsys, "tail", "--n", "60", "--z", "0.5", f"--perron={T},100")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_tail_degenerate_n(capsys):
     code, _, err = run_cli(capsys, "tail", "--n", "1", "--z", "0.5")
     assert code == 2

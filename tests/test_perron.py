@@ -2,7 +2,9 @@
 against divisor-sum brute force, finite differences, and quadrature oracles."""
 
 import math
-from math import log, sqrt
+import random
+import warnings
+from math import log, pi, sqrt
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from friabilis.arith import factorize
-from friabilis.divdist import exact_law, moments
+from friabilis.arith import Factorization, factorize
+from friabilis.divdist import exact_law, moments, nudge_off_atom
 from friabilis.errors import DomainError
 from friabilis.perron import (
     gaussian_tail,
@@ -201,8 +203,9 @@ def test_perron_guards():
         perron_tail_quadrature(f, 0.0)
     with pytest.raises(DomainError):
         perron_tail_quadrature(f, -0.5)
-    with pytest.raises(DomainError):
-        perron_tail_quadrature(f, 0.5, T=0.5)
+    for T in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            perron_tail_quadrature(f, 0.5, T=T)
     with pytest.raises(DomainError):
         perron_tail_quadrature(f, 0.5, steps=0)
     with pytest.raises(DomainError):
@@ -212,6 +215,66 @@ def test_perron_guards():
     z_hit = (log(3) - 0.5 * f6.log_n) / moments(f6).sigma
     with pytest.raises(DomainError):
         perron_tail_quadrature(f6, z_hit)
+
+
+def oracle_perron_quadrature(f, beta: float, t: float, T: float, steps: int) -> float:
+    """The direct-grid contour sum the separable tables replaced, sharing no
+    code with them: one complex exp per node for every prime and for e^{-ts},
+    in chunks of 62,500 panels."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(4)
+    panel = T / steps
+    total = 0.0
+    for start in range(0, steps, 62_500):
+        stop = min(start + 62_500, steps)
+        edges = np.arange(start, stop + 1, dtype=np.float64) * panel
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        nodes = (mid[:, None] + (0.5 * panel) * gl_x[None, :]).ravel()
+        wts = np.broadcast_to(0.5 * panel * gl_w, (stop - start, 4)).ravel()
+        s = beta + 1j * nodes
+        z = np.ones_like(s)
+        for p, e in f.factors:
+            step = np.exp(log(p) * s)
+            acc = np.ones_like(s)
+            term = np.ones_like(s)
+            for _ in range(e):
+                term = term * step
+                acc = acc + term
+            z *= acc / (e + 1)
+        vals = z * np.exp(-t * s) / s
+        total += float(np.dot(wts, vals.real))
+    return total / pi
+
+
+def _seeded_factorizations() -> list[Factorization]:
+    # one n per omega, exponents up to 6, n < 1e15; seed 2016 gives 11^6,
+    # 23^6 and two n with 8 distinct primes
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    rng = random.Random(2016)
+    out = []
+    for omega in (1, 2, 3, 4, 5, 6, 8, 8):
+        while True:
+            ps = sorted(rng.sample(primes, omega))
+            f = Factorization(tuple((p, rng.randint(1, 6)) for p in ps))
+            if f.n < 10**15:
+                break
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("f", _seeded_factorizations(), ids=lambda f: str(f.n))
+def test_perron_matches_direct_grid_oracle(f):
+    # steps give one-panel rows (1, 7), a partial last row (255, 257), an
+    # exact fit (256) and one, two and three chunks of 62,500 panels
+    mom = moments(f)
+    t, _ = nudge_off_atom(exact_law(f), 0.5 * f.log_n + 0.5 * mom.sigma)
+    beta = solve_beta(f, 0.5, t=t)
+    for T in (50.0, 200.0):
+        for steps in (1, 7, 255, 256, 257, 20_000, 62_501, 130_000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # coarse panels
+                got = perron_tail_quadrature(f, 0.5, T=T, steps=steps, t=t)
+            want = oracle_perron_quadrature(f, beta, t, T, steps)
+            assert abs(got - want) <= 1e-12, (T, steps, got, want)
 
 
 def test_perron_warns_on_coarse_panels():

@@ -3,8 +3,10 @@ and counting estimates, checked against self-contained oracles."""
 
 import math
 
+import numpy as np
 import pytest
 
+import friabilis.saddle as saddle
 from friabilis.arith import psi_exact, sieve_primes
 from friabilis.errors import DomainError
 from friabilis.saddle import (
@@ -36,6 +38,66 @@ def oracle_alpha_bisection(x: int, y: int, steps: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def oracle_alpha_fsum_every_step(x, y) -> float:
+    """The solver as it was before its bisection signs came from a bounded
+    cheap sum: every residual is a math.fsum, so alpha must match bit for bit."""
+    x = float(x)
+    lp = np.log(sieve_primes(int(y)).astype(np.float64))
+    log_x = math.log(x)
+    target = 1e-12 * log_x
+
+    def residual(alpha):
+        return math.fsum((lp / np.expm1(alpha * lp)).tolist()) - log_x
+
+    lo, hi = 1e-6, 2.0
+    assert residual(lo) >= 0
+    while residual(hi) >= 0:
+        lo = hi
+        hi *= 2.0
+    alpha = 0.5 * (lo + hi)
+    for _ in range(60):
+        alpha = 0.5 * (lo + hi)
+        r = residual(alpha)
+        if abs(r) <= target:
+            return alpha
+        if r > 0:
+            lo = alpha
+        else:
+            hi = alpha
+    for _ in range(8):
+        r = residual(alpha)
+        if abs(r) <= target:
+            break
+        t = np.expm1(alpha * lp)
+        alpha += r / math.fsum((lp * lp * (t + 1.0) / (t * t)).tolist())
+        if not lo <= alpha <= hi:
+            alpha = 0.5 * (lo + hi)
+    return alpha
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(2, 2), (4, 2), (10**6, 2), (7, 7), (1000, 1000), (10**5, 10**5)]
+    + GRID
+    + [(10**8, 30), (10**12, 10**6)],
+)
+def test_alpha_bit_identical_to_fsum_every_step(x, y):
+    assert solve_alpha(x, y) == oracle_alpha_fsum_every_step(x, y)
+
+
+def test_make_context_sums_exactly_only_near_the_root(monkeypatch):
+    calls = []
+    exact = saddle.kernels.kahan_sum
+
+    def counted(values):
+        calls.append(1)
+        return exact(values)
+
+    monkeypatch.setattr(saddle.kernels, "kahan_sum", counted)
+    make_context(10**12, 10**6)
+    assert len(calls) <= 15
 
 
 def test_alpha_known_values():
