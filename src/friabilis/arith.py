@@ -108,9 +108,6 @@ class Factorization:
         """Largest prime factor, with the convention P(1) = 1."""
         return self.factors[-1][0] if self.factors else 1
 
-    def is_smooth(self, y) -> bool:
-        return self.max_prime <= y
-
 
 def factorize(n) -> Factorization:
     """Factor n by trial division over sieved primes.
@@ -155,25 +152,36 @@ _ITER_BLOCK = 4096  # rows turned into Python tuples at a time by factorizations
 class SmoothTable:
     """S(x, y) as columns, one row per n in increasing order.
 
-    n is int64.  primes (int64) and exps (int8) are slot matrices of shape
-    (rows, width): row i holds the factorization of n[i] with its primes
-    ascending in the first omega(n[i]) slots, padded with p = 1, e = 0.
-    basis holds every prime <= min(x, y), the primes a slot can take.
+    n is int64.  basis holds every prime <= min(x, y), the primes a slot
+    can take.  slots and exps (int8) are matrices of shape (rows, width):
+    row i holds the factorization of n[i], its primes ascending in the
+    first omega(n[i]) slots, each slot as the index of its prime in basis.
+    The rest is padding, slot len(basis) with e = 0.  slots has the
+    smallest unsigned dtype that holds len(basis) (uint8 while
+    pi(y) <= 255).
     """
 
     n: np.ndarray
-    primes: np.ndarray
+    slots: np.ndarray
     exps: np.ndarray
     basis: np.ndarray
 
     def __len__(self) -> int:
         return len(self.n)
 
+    @cached_property
+    def _slot_primes(self) -> np.ndarray:
+        return np.append(self.basis, 1)
+
+    def primes(self, rows) -> np.ndarray:
+        """The int64 primes in the slots of the given rows, 1 in padding."""
+        return self._slot_primes[self.slots[rows]]
+
     def factorization(self, i: int) -> Factorization:
         """Row i as a Factorization."""
         w = int(np.count_nonzero(self.exps[i]))
         f = Factorization(
-            tuple(zip(self.primes[i, :w].tolist(), self.exps[i, :w].tolist()))
+            tuple(zip(self.primes(i)[:w].tolist(), self.exps[i, :w].tolist()))
         )
         f.__dict__["n"] = int(self.n[i])  # seed the cached property
         return f
@@ -185,7 +193,7 @@ class SmoothTable:
             widths = np.count_nonzero(self.exps[block], axis=1).tolist()
             rows = zip(
                 self.n[block].tolist(),
-                self.primes[block].tolist(),
+                self.primes(block).tolist(),
                 self.exps[block].tolist(),
                 widths,
             )
@@ -200,18 +208,21 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
 
     Rows grow from n = 1 one prime at a time, in ascending order, so a new
     factor always lands in the next free slot.  A prime p <= sqrt(x) gives
-    every row with n p^k <= x a child n p^k.  A prime p > sqrt(x) divides
-    n at most once and as its largest prime, so its children are p times
-    the rows up to x / p, a prefix of the rows sorted by n.  Each child
-    records its parent row and its last factor; the slot matrices are read
-    back along those links at the end.  The row count is checked before
-    each step allocates its rows.
+    every row with n p^k <= x a child n p^k; the rows with n <= x / p are
+    kept as a live index, which each prime filters and extends with its
+    children, so no step rescans the whole table.  A prime p > sqrt(x)
+    divides n at most once and as its largest prime, so its children are
+    p times the rows up to x / p, a prefix of the rows sorted by n.  Each
+    child records its parent row and the basis index and exponent of its
+    last factor; the slot matrices are read back along those links at the
+    end.  The row count is checked before each step allocates its rows.
     """
     x = int(x)
     y = int(y)
     if x >= N_CEILING:
         raise DomainError(f"x must be < 2**62, got {x}")
     basis = sieve_primes(min(x, y))
+    slot_type = np.min_scalar_type(len(basis))
     root = isqrt(max(x, 0))
 
     def check(size: int) -> None:
@@ -223,13 +234,16 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
     n = np.ones(1, dtype=np.int64)
     omega = np.zeros(1, dtype=np.int8)
     parents = [np.full(1, -1, dtype=np.int64)]
-    last_p = [np.ones(1, dtype=np.int64)]
+    last_i = [np.full(1, len(basis), dtype=slot_type)]
     last_e = [np.zeros(1, dtype=np.int8)]
-    for p in basis[basis <= root].tolist():
+    live = np.zeros(1, dtype=np.int64)
+    small = int(np.searchsorted(basis, root, side="right"))
+    for i, p in enumerate(basis[:small].tolist()):
+        live = live[n[live] <= x // p]
         new_n = [n]
         new_omega = [omega]
         size = len(n)
-        sel = np.flatnonzero(n <= x // p)
+        sel = live
         pk, k = p, 1
         while sel.size:
             size += sel.size
@@ -237,47 +251,47 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
             new_n.append(n[sel] * pk)
             new_omega.append(omega[sel] + 1)
             parents.append(sel)
-            last_p.append(np.full(sel.size, p, dtype=np.int64))
+            last_i.append(np.full(sel.size, i, dtype=slot_type))
             last_e.append(np.full(sel.size, k, dtype=np.int8))
             pk *= p
             k += 1
             sel = sel[n[sel] <= x // pk]
+        live = np.concatenate([live, np.arange(len(n), size)])
         n = np.concatenate(new_n)
         omega = np.concatenate(new_omega)
 
-    large = basis[basis > root]
-    if large.size:
+    if small < len(basis):
+        large = basis[small:]
         order = np.argsort(n)
         counts = np.searchsorted(n[order], x // large, side="right")
         total = int(counts.sum())
         check(len(n) + total)
         starts = np.cumsum(counts) - counts
         par = order[np.arange(total) - np.repeat(starts, counts)]
-        p_col = np.repeat(large, counts)
-        n = np.concatenate([n, n[par] * p_col])
+        n = np.concatenate([n, n[par] * np.repeat(large, counts)])
         omega = np.concatenate([omega, omega[par] + 1])
         parents.append(par)
-        last_p.append(p_col)
+        last_i.append(np.repeat(np.arange(small, len(basis), dtype=slot_type), counts))
         last_e.append(np.ones(total, dtype=np.int8))
 
     parent = np.concatenate(parents)
-    p_last = np.concatenate(last_p)
+    i_last = np.concatenate(last_i)
     e_last = np.concatenate(last_e)
     width = int(omega.max())
-    primes = np.ones((len(n), width), dtype=np.int64)
+    slots = np.full((len(n), width), len(basis), dtype=slot_type)
     exps = np.zeros((len(n), width), dtype=np.int8)
     rows = np.flatnonzero(omega)
     cur = rows
     slot = omega[rows].astype(np.int64) - 1
     while rows.size:
-        primes[rows, slot] = p_last[cur]
+        slots[rows, slot] = i_last[cur]
         exps[rows, slot] = e_last[cur]
         cur = parent[cur]
         slot -= 1
         keep = slot >= 0
         rows, cur, slot = rows[keep], cur[keep], slot[keep]
     order = np.argsort(n)
-    return SmoothTable(n=n[order], primes=primes[order], exps=exps[order], basis=basis)
+    return SmoothTable(n=n[order], slots=slots[order], exps=exps[order], basis=basis)
 
 
 @dataclass(frozen=True)
@@ -294,9 +308,6 @@ class SmoothSet:
 
     def __iter__(self) -> Iterator[Factorization]:
         return smooth_table(self.x, self.y, limit=self.limit).factorizations()
-
-    def count(self) -> int:
-        return psi_exact(self.x, self.y, limit=self.limit)
 
 
 def enumerate_smooth(x, y) -> SmoothSet:

@@ -12,7 +12,7 @@ argument always lands on the grid; interpolation only happens at lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log
+from math import isnan, log
 
 import numpy as np
 
@@ -103,9 +103,11 @@ def default_table() -> RhoTable:
 def dickman_rho(u, table: RhoTable | None = None) -> float:
     """rho(u): 0 for u < 0, 1 on [0, 1], table interpolation beyond.
 
-    Raises DomainError above the table's u_max.
+    Raises DomainError for NaN and above the table's u_max.
     """
     u = float(u)
+    if isnan(u):
+        raise DomainError("u must be a number, got NaN")
     if u < 0.0:
         return 0.0
     if u <= 1.0:

@@ -46,10 +46,6 @@ class DivisorMoments:
     t_max: float
 
     @property
-    def sigma_sq(self) -> float:
-        return self.m2
-
-    @property
     def sigma(self) -> float:
         return sqrt(self.m2)
 
@@ -100,11 +96,6 @@ class DivisorLaw:
         i = int(np.searchsorted(self.values, t, side="left"))
         return self.tau - (int(self._cum[i - 1]) if i > 0 else 0)
 
-    def count_le(self, t: float) -> int:
-        """Number of divisors with log d <= t."""
-        i = int(np.searchsorted(self.values, t, side="right"))
-        return int(self._cum[i - 1]) if i > 0 else 0
-
     def upper_tail(self, t: float) -> float:
         return self.count_ge(t) / self.tau
 
@@ -118,16 +109,17 @@ class DivisorLaw:
         return gap
 
 
-def exact_law(f: Factorization, *, tau_ceiling: int = TAU_CEILING) -> DivisorLaw:
+def exact_law(f: Factorization) -> DivisorLaw:
     """Build the full atom list of the log-divisor law of n.
 
     Divisors come from iterated integer convolution over the prime powers
     (the kernel), so distinct divisors are exact; atom positions closer than
-    MERGE_TOL (possible only from float log collisions) are merged.
+    MERGE_TOL (possible only from float log collisions) are merged.  A law
+    with tau > TAU_CEILING atoms raises ResourceLimitError.
     """
     tau = f.tau
-    if tau > tau_ceiling:
-        raise ResourceLimitError(f"tau = {tau} exceeds ceiling {tau_ceiling}")
+    if tau > TAU_CEILING:
+        raise ResourceLimitError(f"tau = {tau} exceeds ceiling {TAU_CEILING}")
     n = f.n
     if n >= N_CEILING:
         raise DomainError("n must be < 2**62 for exact divisor products")
@@ -196,13 +188,6 @@ def _prime_logs(table: SmoothTable) -> np.ndarray:
     return np.array([log(p) for p in table.basis.tolist()] + [0.0])
 
 
-def _slot_index(table: SmoothTable, j: int) -> np.ndarray:
-    """Index in table.basis of the primes in slot j; padding maps past the end."""
-    idx = np.searchsorted(table.basis, table.primes[:, j])
-    idx[table.exps[:, j] == 0] = len(table.basis)
-    return idx
-
-
 @dataclass(frozen=True)
 class MomentColumns:
     """log n and the moments m2, m4, w of every row of a SmoothTable, equal
@@ -222,8 +207,8 @@ def table_moments(table: SmoothTable) -> MomentColumns:
     """log n and moments() (less tau and t_max) for every row, one slot
     column at a time.
 
-    Padding slots (p = 1, e = 0) add exactly 0.0 to each sum, so summing all
-    columns from 0 repeats the per-n loop over the real factors.
+    Padding slots (log p = 0.0, e = 0) add exactly 0.0 to each sum, so
+    summing all columns from 0 repeats the per-n loop over the real factors.
     """
     logs = _prime_logs(table)
     rows = len(table)
@@ -232,7 +217,7 @@ def table_moments(table: SmoothTable) -> MomentColumns:
     m4 = np.zeros(rows)
     for j in range(table.exps.shape[1]):
         ej = table.exps[:, j].astype(np.int64)
-        lpj = logs[_slot_index(table, j)]
+        lpj = logs[table.slots[:, j]]
         lp2 = lpj * lpj
         log_n += ej * lpj
         m2 += ej * (ej + 2) * lp2
@@ -253,16 +238,16 @@ def table_additive_fk(table: SmoothTable, k: int) -> np.ndarray:
     if k == 0:
         return np.count_nonzero(table.exps, axis=1).astype(np.float64)
     logs = _prime_logs(table).tolist()
-    index = [_slot_index(table, j) for j in range(table.exps.shape[1])]
+    width = table.exps.shape[1]
     present = np.zeros((len(logs), int(table.exps.max(initial=0)) + 1), dtype=bool)
-    for j, idx in enumerate(index):
-        present[idx, table.exps[:, j]] = True
+    for j in range(width):
+        present[table.slots[:, j], table.exps[:, j]] = True
     power = np.zeros(present.shape)
     pairs = np.nonzero(present)
     power[pairs] = [(e * logs[i]) ** k for i, e in zip(*(a.tolist() for a in pairs))]
     fk = np.zeros(len(table))
-    for j, idx in enumerate(index):
-        fk += power[idx, table.exps[:, j]]
+    for j in range(width):
+        fk += power[table.slots[:, j], table.exps[:, j]]
     return fk
 
 
@@ -328,7 +313,7 @@ def table_upper_tails(
     nudged = np.zeros(t.shape, dtype=bool)
     for lo, hi in _atom_chunks(tau):
         chunk = rows[lo:hi]
-        logd = _log_divisors(table.primes[chunk], table.exps[chunk])
+        logd = _log_divisors(table.primes(chunk), table.exps[chunk])
         starts = np.cumsum(tau[lo:hi]) - tau[lo:hi]
         near = np.zeros((hi - lo, t.shape[1]), dtype=bool)
         for j in range(t.shape[1]):

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import random
 from dataclasses import dataclass
-from math import asin, exp, pi, sqrt
+from math import asin, exp, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -36,6 +36,8 @@ def _as_float_grid(values) -> tuple[float, ...]:
     grid = tuple(float(v) for v in values)
     if not grid:
         raise ConfigError("grid must be non-empty")
+    if not all(isfinite(v) for v in grid):
+        raise ConfigError(f"grid entries must be finite, got {grid}")
     return grid
 
 

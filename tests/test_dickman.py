@@ -67,8 +67,9 @@ def test_delay_equation_on_interior():
 
 
 def test_table_range_guard():
-    with pytest.raises(DomainError):
-        dickman_rho(1e9)
+    for u in (1e9, math.nan):
+        with pytest.raises(DomainError):
+            dickman_rho(u)
     table = default_table()
     assert table.u_max >= 50.0
 

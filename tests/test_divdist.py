@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from friabilis import divdist
 from friabilis.arith import Factorization, factorize
 from friabilis.divdist import (
     additive_fk,
@@ -66,7 +67,6 @@ def test_moments_trivial_and_prime():
     assert (one.tau, one.m2, one.m4, one.w, one.t_max) == (1, 0.0, 0.0, 1.0, 0.0)
     pm = moments(factorize(97))
     assert pm.w == pytest.approx(1.0, rel=1e-15)  # single squarefree factor
-    assert pm.sigma_sq == pm.m2
     assert pm.sigma == pytest.approx(math.sqrt(pm.m2), rel=1e-15)
 
 
@@ -93,13 +93,11 @@ def test_tail_queries_n6():
     assert law.tau == 4
     at2 = float(law.values[1])  # the atom at log 2
     assert law.count_ge(at2) == 3  # closed: {2, 3, 6}
-    assert law.count_le(at2) == 2  # {1, 2}
     assert law.upper_tail(at2) == pytest.approx(0.75)
     assert exact_upper_tail(law, at2) == law.upper_tail(at2)
     mid = 0.5 * (float(law.values[1]) + float(law.values[2]))
-    assert law.count_ge(mid) + law.count_le(mid) == law.tau
+    assert law.count_ge(mid) == 2  # {3, 6}
     assert law.count_ge(-1.0) == 4
-    assert law.count_le(-1.0) == 0
     assert law.count_ge(math.log(6) + 1.0) == 0
 
 
@@ -125,9 +123,10 @@ def test_nudge_off_atom():
     assert nudge_off_atom(law1, 0.0) == (0.0, False)
 
 
-def test_exact_law_ceilings():
+def test_exact_law_ceilings(monkeypatch):
+    monkeypatch.setattr(divdist, "TAU_CEILING", 100)
     with pytest.raises(ResourceLimitError):
-        exact_law(factorize(720720), tau_ceiling=100)
+        exact_law(factorize(720720))
     with pytest.raises(DomainError):
         exact_law(Factorization(((2, 62),)))  # n = 2**62 breaches int64 room
 

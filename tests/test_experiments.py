@@ -129,6 +129,9 @@ def test_clt_config_guards():
         CltRunConfig(x=X, y=Y, z_grid=())
     with pytest.raises(ConfigError):
         CltRunConfig(x=X, y=Y, z_grid=(-0.5,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            CltRunConfig(x=X, y=Y, z_grid=(0.0, bad))
     with pytest.raises(ConfigError):
         CltRunConfig(x=X, y=Y, z_grid=(0.0,), C=0.0)
     with pytest.raises(ConfigError):
@@ -173,6 +176,8 @@ def test_average_config_guards():
     with pytest.raises(ConfigError):
         AverageRunConfig(x=X, y=Y, z_grid=(0.0,), c5=0.0)
     with pytest.raises(ConfigError):
+        AverageRunConfig(x=X, y=Y, z_grid=(math.nan,))
+    with pytest.raises(ConfigError):
         AverageRunConfig(x=1, y=Y, z_grid=(0.0,))
 
 
@@ -211,8 +216,9 @@ def test_concentration_config_guards():
         ConcentrationRunConfig(x=X, y=Y, k_list=())
     with pytest.raises(ConfigError):
         ConcentrationRunConfig(x=X, y=Y, k_list=(9,))
-    with pytest.raises(ConfigError):
-        ConcentrationRunConfig(x=X, y=Y, thresholds=(-0.1,))
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            ConcentrationRunConfig(x=X, y=Y, thresholds=(bad,))
     with pytest.raises(ConfigError):
         ConcentrationRunConfig(x=X, y=Y, bins=0)
 
@@ -406,8 +412,11 @@ def assert_same_output(got: RunResult, want: RunResult, tmp_path) -> None:
         AverageRunConfig(x=10**5, y=7, z_grid=(-1.0, 0.0, 1.5), c5=2.0),
         # y = x: every n <= x, the old range-scan case
         AverageRunConfig(x=3000, y=3000, z_grid=(-0.5, 0.0, 0.7), c5=3.0),
+        # pi(1613) = 255 and pi(1619) = 256: the last uint8 and first uint16 slots
+        AverageRunConfig(x=3 * 10**4, y=1613, z_grid=(0.0, 0.5), c5=2.0),
+        AverageRunConfig(x=3 * 10**4, y=1619, z_grid=(0.0, 0.5), c5=2.0),
     ],
-    ids=["negative-and-zero-z", "y7", "y-equals-x"],
+    ids=["negative-and-zero-z", "y7", "y-equals-x", "y1613", "y1619"],
 )
 def test_average_matches_per_n_oracle(config, tmp_path):
     got = run_average(config)
@@ -424,8 +433,10 @@ def test_average_matches_per_n_oracle(config, tmp_path):
         (CltRunConfig(x=X, y=Y, z_grid=(0.5,)), 0.01),  # the cap leaves no n
         # y > x: every n <= x, the old range-scan case
         (CltRunConfig(x=3000, y=5000, z_grid=(0.0, 0.5), sample_cap=700, seed=2), 1.0),
+        (CltRunConfig(x=10**5, y=1613, z_grid=(0.0, 1.0), sample_cap=5000, seed=3), 1.0),
+        (CltRunConfig(x=10**5, y=1619, z_grid=(0.0, 1.0), sample_cap=5000, seed=3), 1.0),
     ],
-    ids=["full", "w_min-and-B", "sampled", "nothing-active", "y-above-x"],
+    ids=["full", "w_min-and-B", "sampled", "nothing-active", "y-above-x", "y1613", "y1619"],
 )
 def test_clt_matches_per_n_oracle(config, B, tmp_path):
     assert_same_output(run_clt(config, B=B), oracle_clt(config, B=B), tmp_path)
@@ -436,8 +447,10 @@ def test_clt_matches_per_n_oracle(config, B, tmp_path):
     [
         ConcentrationRunConfig(x=10**5, y=100, k_list=(0, 1, 2, 3, 8), thresholds=(0.0, 0.1, 0.5)),
         ConcentrationRunConfig(x=2 * 10**4, y=2 * 10**4, k_list=(2, 5), bins=7),
+        ConcentrationRunConfig(x=10**5, y=1613, k_list=(0, 1, 3)),
+        ConcentrationRunConfig(x=10**5, y=1619, k_list=(0, 1, 3)),
     ],
-    ids=["y100", "y-equals-x"],
+    ids=["y100", "y-equals-x", "y1613", "y1619"],
 )
 def test_concentration_matches_per_n_oracle(config, tmp_path):
     assert_same_output(run_concentration(config), oracle_concentration(config), tmp_path)
@@ -454,7 +467,6 @@ def test_concentration_matches_per_n_oracle(config, tmp_path):
 def test_tau_ceiling_raises_in_both_paths(run, oracle, config, monkeypatch):
     # 48 divisors is past a ceiling of 40, and S(1e4, 30) holds such n
     monkeypatch.setattr(divdist, "TAU_CEILING", 40)
-    monkeypatch.setitem(divdist.exact_law.__kwdefaults__, "tau_ceiling", 40)
     with pytest.raises(ResourceLimitError) as got:
         run(config)
     with pytest.raises(ResourceLimitError) as want:

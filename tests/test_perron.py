@@ -151,8 +151,9 @@ def test_solve_beta_small_z_linearization():
 
 def test_solve_beta_guards():
     f = factorize(60)
-    with pytest.raises(DomainError):
-        solve_beta(f, -0.1)
+    for z in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            solve_beta(f, z)
     with pytest.raises(DomainError):
         solve_beta(f, tail_quantile_domain(f))
     with pytest.raises(DomainError):
@@ -201,8 +202,9 @@ def test_perron_guards():
     f = factorize(60)
     with pytest.raises(DomainError):
         perron_tail_quadrature(f, 0.0)
-    with pytest.raises(DomainError):
-        perron_tail_quadrature(f, -0.5)
+    for z in (-0.5, math.nan):
+        with pytest.raises(DomainError):
+            perron_tail_quadrature(f, z, t=0.5 * f.log_n + 0.1)
     for T in (0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             perron_tail_quadrature(f, 0.5, T=T)
