@@ -173,9 +173,10 @@ class SmoothTable:
     def _slot_primes(self) -> np.ndarray:
         return np.append(self.basis, 1)
 
-    def primes(self, rows) -> np.ndarray:
-        """The int64 primes in the slots of the given rows, 1 in padding."""
-        return self._slot_primes[self.slots[rows]]
+    def primes(self, index) -> np.ndarray:
+        """The int64 primes in slots[index] (some rows, or (rows, columns)),
+        1 in padding."""
+        return self._slot_primes[self.slots[index]]
 
     def factorization(self, i: int) -> Factorization:
         """Row i as a Factorization."""
@@ -277,7 +278,7 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
     parent = np.concatenate(parents)
     i_last = np.concatenate(last_i)
     e_last = np.concatenate(last_e)
-    width = int(omega.max())
+    width = max(int(omega.max()), 1)  # every row has a last slot, padding for n = 1
     slots = np.full((len(n), width), len(basis), dtype=slot_type)
     exps = np.zeros((len(n), width), dtype=np.int8)
     rows = np.flatnonzero(omega)

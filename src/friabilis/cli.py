@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -183,6 +184,7 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--json", action="store_true", help="print rows and metadata as JSON")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="friabilis",

@@ -5,13 +5,18 @@ predicts.
 
 Each per-n function has a columnar counterpart over a SmoothTable
 (table_moments, table_additive_fk, table_upper_tails) that returns, row by
-row, the same floats bit for bit: it performs the same IEEE operations in
-the same order, takes log p from math.log and log d from np.log of the
-integer divisor, as the per-n code does.
+row, the same floats bit for bit.  table_moments and table_additive_fk
+perform the same IEEE operations in the same order and take log p from
+math.log, as the per-n code does.  table_upper_tails counts the divisors
+of n = m P^e (P its largest prime) from the log d of its stem m shifted by
+i log P, and sends every query that a shifted threshold puts within
+2 MERGE_TOL of a stem atom through the per-n law, so float rounding in
+the shift cannot change a count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log, sqrt
@@ -27,7 +32,7 @@ from friabilis.saddle import SaddleContext
 TAU_CEILING = 2 * 10**6  # largest admissible atom count
 MERGE_TOL = 1e-12  # atoms closer than this collapse into one
 NUDGE_SCALE = 1e-9  # collision nudge, in units of log n
-ATOM_BUDGET = 2**16  # divisor atoms table_upper_tails expands at once (0.5 MB per int64 array)
+ATOM_BUDGET = 2**16  # padded stem atoms, and thresholds, per table_upper_tails chunk
 
 
 @dataclass(frozen=True)
@@ -251,17 +256,6 @@ def table_additive_fk(table: SmoothTable, k: int) -> np.ndarray:
     return fk
 
 
-def _atom_chunks(tau: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Row ranges holding at most ATOM_BUDGET atoms (or a single row)."""
-    cum = np.cumsum(tau)
-    lo = 0
-    while lo < len(tau):
-        done = int(cum[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(cum, done + ATOM_BUDGET, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
-
-
 def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """log d for every divisor of every row, the atoms of a row contiguous.
 
@@ -287,47 +281,157 @@ def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return np.log(d.astype(np.float64))
 
 
+def _stem_chunks(
+    key: np.ndarray, modulus: int, queries: np.ndarray
+) -> Iterator[tuple[int, int]]:
+    """Ranges of rows, in ascending stem key, that hold at most ATOM_BUDGET
+    padded stem atoms and at most ATOM_BUDGET queries (or a single row).
+
+    key is tau(stem) * modulus + stem row, so the widest stem of a range is
+    its last; queries is each row's query count.
+    """
+    distinct = np.cumsum(np.diff(key, prepend=-1) != 0)
+    done = np.concatenate([[0], np.cumsum(queries)])
+
+    def cost(lo: int, hi: int) -> int:
+        stems = int(distinct[hi - 1] - distinct[lo]) + 1
+        padded = stems * (int(key[hi - 1]) // modulus + 1)
+        return max(padded, int(done[hi] - done[lo]))
+
+    lo = 0
+    while lo < len(key):
+        ends = range(lo + 1, len(key) + 1)
+        hi = lo + max(bisect_right(ends, ATOM_BUDGET, key=lambda h: cost(lo, h)), 1)
+        yield lo, hi
+        lo = hi
+
+
+def _stem_atoms(
+    table: SmoothTable, stems: np.ndarray, tau: np.ndarray, width: int
+) -> np.ndarray:
+    """The log-divisors of each stem, ascending, in a row of width entries
+    padded with +inf."""
+    atoms = np.full((len(stems), width), np.inf)
+    atoms[np.arange(width) < tau[:, None]] = _log_divisors(
+        table.primes(stems), table.exps[stems]
+    )
+    atoms.sort(axis=1)
+    return atoms
+
+
+def _stem_counts(
+    table: SmoothTable, key: np.ndarray, t: np.ndarray, e: np.ndarray, log_p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """count(log delta >= t) / tau for rows n = m P^e given in ascending
+    stem key, with a flag where a shifted threshold t - i log P lies within
+    2 MERGE_TOL of a log d of the stem m.
+
+    key is tau(m) * len(table) + m's row; t holds each row's thresholds,
+    e and log_p its e and log P.
+    """
+    first = np.diff(key, prepend=-1) != 0
+    owner = np.cumsum(first) - 1
+    stem_tau = key[first] // len(table)
+    width = int(stem_tau[-1]) + 1  # so every row of atoms ends in +inf
+    atoms = _stem_atoms(table, key[first] % len(table), stem_tau, width).ravel()
+    # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
+    reps = e.astype(np.int64) + 1
+    starts = np.cumsum(reps) - reps
+    child = np.repeat(np.arange(len(key)), reps)
+    s = t[child]
+    s -= ((np.arange(len(child)) - starts[child]) * log_p[child])[:, None]
+    base = (owner[child] * width)[:, None]
+    # branchless binary search for pos = #{log d < s} <= tau(m) <= width - 1
+    pos = np.zeros(s.shape, dtype=np.int64)
+    probe = np.empty_like(pos)
+    atom = np.empty_like(s)
+    hit = np.empty(s.shape, dtype=bool)
+    for k in range((width - 1).bit_length() - 1, -1, -1):
+        np.add(pos, (1 << k) - 1, out=probe)
+        np.minimum(probe, width - 1, out=probe)
+        probe += base
+        np.less(np.take(atoms, probe, out=atom), s, out=hit)
+        np.add(pos, 1 << k, out=pos, where=hit)
+    # the nearest log d below s (if any) and at or above it
+    np.maximum(pos, 1, out=probe)
+    probe += base - 1
+    np.subtract(s, np.take(atoms, probe, out=atom), out=atom)
+    near = (atom < 2 * MERGE_TOL) & (pos > 0)
+    np.add(pos, base, out=probe)
+    np.take(atoms, probe, out=atom)
+    atom -= 2 * MERGE_TOL
+    near |= atom < s
+    np.subtract(stem_tau[owner][child][:, None], pos, out=pos)
+    count = np.add.reduceat(pos, starts, axis=0)
+    tails = count / (stem_tau[owner] * reps)[:, None]
+    return tails, np.logical_or.reduceat(near, starts, axis=0)
+
+
 def table_upper_tails(
     table: SmoothTable, rows: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """upper_tail at the nudged query for each selected row and threshold.
 
     rows are table row indices; t has shape (len(rows), queries), one row
-    of thresholds per index (NaN marks a query not wanted).  Returns
-    (tails, nudged), both shaped like t.  A query with no log d within
-    MERGE_TOL of it needs no nudge, and its tail is count(log d >= t) / tau,
-    computed on chunks of at most ATOM_BUDGET atoms.  A query with one that close goes through exact_law,
+    of thresholds per index (NaN marks a query not wanted, and gives 0.0,
+    not nudged).  Returns (tails, nudged), both shaped like t.
+
+    Each n > 1 is m P^e, P^e the power of its largest prime, and its stem m
+    is a row of the table (n = 1 is its own stem, with e = 0).  The divisors
+    of n are d P^i with d | m and 0 <= i <= e, so count(log delta >= t) over
+    the divisors of n is the sum over i of #{d | m : log d >= t - i log P}.
+    The sorted log d of each distinct stem are expanded once, and a binary
+    search answers each shifted threshold.  Rows are taken in ascending
+    tau(stem), in chunks of at most ATOM_BUDGET padded stem atoms and
+    ATOM_BUDGET shifted thresholds.
+
+    np.log(d P^i) and np.log(d) + i log P differ by a few ulps of log n,
+    under 1e-13 for n < 2**62.  So where every shifted threshold lies at
+    least 2 MERGE_TOL from every log d, the count equals the one np.log of
+    the divisors of n gives, no divisor lies within MERGE_TOL of t, and
+    count / tau is the tail exact_law gives unnudged.  A query with a
+    shifted threshold within 2 MERGE_TOL of a log d goes through exact_law,
     nudge_off_atom and upper_tail instead (this covers z = 0 on squares,
-    n = 1, and merged atoms).  A row with tau > TAU_CEILING raises
-    ResourceLimitError, as exact_law would.
+    n = 1, and merged atoms), which gives the same float either way.  A row
+    with tau > TAU_CEILING raises ResourceLimitError, as exact_law would.
     """
     rows = np.asarray(rows, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
-    tau = np.prod(table.exps[rows].astype(np.int64) + 1, axis=1)
+    tau = np.ones(len(rows), dtype=np.int64)
+    last = np.full(len(rows), -1, dtype=np.int64)
+    for j in range(table.exps.shape[1]):
+        ej = table.exps[rows, j]
+        tau *= ej + 1
+        last += ej > 0
     over = np.flatnonzero(tau > TAU_CEILING)
     if over.size:
         raise ResourceLimitError(
             f"tau = {int(tau[over[0]])} exceeds ceiling {TAU_CEILING}"
         )
+    # n = 1 has last = -1, a padding slot (prime 1, e = 0): its own stem
+    prime = table.primes((rows, last))
+    e = table.exps[rows, last]
+    stem = np.searchsorted(table.n, table.n[rows] // prime**e)
+    key = tau // (e + 1) * len(table) + stem
+    del tau, last, stem
+    log_p = np.log(prime.astype(np.float64))
+    del prime
+    order = np.argsort(key)
+    key = key[order]
+
     tails = np.zeros(t.shape)
     nudged = np.zeros(t.shape, dtype=bool)
-    for lo, hi in _atom_chunks(tau):
-        chunk = rows[lo:hi]
-        logd = _log_divisors(table.primes(chunk), table.exps[chunk])
-        starts = np.cumsum(tau[lo:hi]) - tau[lo:hi]
-        near = np.zeros((hi - lo, t.shape[1]), dtype=bool)
-        for j in range(t.shape[1]):
-            diff = np.repeat(t[lo:hi, j], tau[lo:hi])
-            np.subtract(logd, diff, out=diff)
-            count = np.add.reduceat(diff >= 0, starts, dtype=np.int64)
-            tails[lo:hi, j] = count / tau[lo:hi]
-            np.abs(diff, out=diff)
-            near[:, j] = np.logical_or.reduceat(diff < MERGE_TOL, starts)
-        for i in np.flatnonzero(near.any(axis=1)).tolist():
-            law = exact_law(table.factorization(chunk[i]))
-            for j in np.flatnonzero(near[i]).tolist():
-                q, nudged[lo + i, j] = nudge_off_atom(law, float(t[lo + i, j]))
-                tails[lo + i, j] = law.upper_tail(q)
+    queries = (e[order].astype(np.int64) + 1) * t.shape[1]
+    for lo, hi in _stem_chunks(key, len(table), queries):
+        pick = order[lo:hi]
+        tails[pick], near = _stem_counts(table, key[lo:hi], t[pick], e[pick], log_p[pick])
+        for c in np.flatnonzero(near.any(axis=1)).tolist():
+            i = int(pick[c])
+            law = exact_law(table.factorization(int(rows[i])))
+            for j in np.flatnonzero(near[c]).tolist():
+                q, nudged[i, j] = nudge_off_atom(law, float(t[i, j]))
+                tails[i, j] = law.upper_tail(q)
+    tails[np.isnan(t)] = 0.0
     return tails, nudged
 
 

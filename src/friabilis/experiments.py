@@ -116,9 +116,9 @@ class CltRunConfig:
         if any(z < 0 for z in grid):
             raise ConfigError("z_grid entries must be >= 0")
         object.__setattr__(self, "z_grid", grid)
-        if self.C <= 0:
+        if not self.C > 0:
             raise ConfigError("C must be positive")
-        if self.w_min < 0:
+        if not self.w_min >= 0:
             raise ConfigError("w_min must be >= 0")
         if self.sample_cap < 1:
             raise ConfigError("sample_cap must be >= 1")
@@ -158,7 +158,7 @@ def _reservoir(stream, cap: int, seed: int):
 
 def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
     """Gaussian tail quality across S(x, y), one output row per z."""
-    if B <= 0:
+    if not B > 0:
         raise ConfigError("B must be positive")
     table = smooth_table(config.x, config.y)
     # the reservoir depends only on positions in the stream of n > 1, so
@@ -236,7 +236,7 @@ class AverageRunConfig:
     def __post_init__(self):
         _check_range(self.x, self.y)
         object.__setattr__(self, "z_grid", _as_float_grid(self.z_grid))
-        if self.c5 <= 0:
+        if not self.c5 > 0:
             raise ConfigError("c5 must be positive")
 
 

@@ -110,8 +110,22 @@ def test_tail_perron_rejects_bad_T(capsys, T):
         ("average", "--x", "1000", "--y", "10", "--z-grid", "0,nan"),
         ("clt", "--x", "1000", "--y", "10", "--z-grid", "nan"),
         ("concentration", "--x", "1000", "--y", "10", "--thresholds", "0.1,nan"),
+        ("average", "--x", "1000", "--y", "10", "--z-grid", "0,5", "--c5", "nan"),
+        ("clt", "--x", "1000", "--y", "10", "--z-grid", "0,0.5", "--C", "nan"),
+        ("clt", "--x", "1000", "--y", "10", "--z-grid", "0,0.5", "--w-min", "nan"),
+        ("clt", "--x", "1000", "--y", "10", "--z-grid", "0,0.5", "--B", "nan"),
     ],
-    ids=["tail-z", "rho-u", "average-z-grid", "clt-z-grid", "concentration-thresholds"],
+    ids=[
+        "tail-z",
+        "rho-u",
+        "average-z-grid",
+        "clt-z-grid",
+        "concentration-thresholds",
+        "average-c5",
+        "clt-C",
+        "clt-w-min",
+        "clt-B",
+    ],
 )
 def test_nan_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

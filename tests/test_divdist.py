@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friabilis import divdist
-from friabilis.arith import Factorization, factorize
+from friabilis.arith import Factorization, factorize, smooth_table
 from friabilis.divdist import (
     additive_fk,
     exact_law,
@@ -19,6 +19,8 @@ from friabilis.divdist import (
     model_mean_additive,
     moments,
     nudge_off_atom,
+    table_moments,
+    table_upper_tails,
 )
 from friabilis.errors import DomainError, ResourceLimitError
 from friabilis.saddle import make_context
@@ -178,3 +180,95 @@ def test_law_properties_random(n):
     ds = law.divisors
     d = int(ds[len(ds) // 2])
     assert int(np.sum(ds >= d)) == int(np.sum(ds <= n // d))
+
+
+def per_n_tails(table, rows, t):
+    """table_upper_tails by the per-n path: exact_law, nudge_off_atom and
+    upper_tail, with 0.0 and no nudge for a NaN query."""
+    tails = np.zeros(t.shape)
+    nudged = np.zeros(t.shape, dtype=bool)
+    for a, row in enumerate(rows.tolist()):
+        law = exact_law(factorize(int(table.n[row])))
+        for j, tj in enumerate(t[a].tolist()):
+            if not math.isnan(tj):
+                q, nudged[a, j] = nudge_off_atom(law, tj)
+                tails[a, j] = law.upper_tail(q)
+    return tails, nudged
+
+
+def tail_queries(table, rows, seed):
+    """Thresholds for the given rows: z = 0, two random z, one planted on a
+    random atom, one planted 1.5 MERGE_TOL above a random atom, and a NaN
+    scattered over a tenth of the entries."""
+    rng = np.random.default_rng(seed)
+    mom = table_moments(table)
+    z = rng.uniform(-1.5, 1.5, (len(rows), 5))
+    t = 0.5 * mom.log_n[rows][:, None] + z * mom.sigma[rows][:, None]
+    t[:, 0] = 0.5 * mom.log_n[rows]
+    for a, row in enumerate(rows.tolist()):
+        values = exact_law(factorize(int(table.n[row]))).values
+        t[a, 3] = values[rng.integers(len(values))]
+        t[a, 4] = values[rng.integers(len(values))] + 1.5 * divdist.MERGE_TOL
+    t[rng.random(t.shape) < 0.1] = math.nan
+    return t
+
+
+@pytest.mark.parametrize(
+    "x,y,sample",
+    [(10**5, 30, 600), (3 * 10**4, 1619, 600)],
+    ids=["S(1e5,30)", "S(3e4,1619)"],
+)
+def test_table_upper_tails_matches_per_n(x, y, sample, monkeypatch):
+    table = smooth_table(x, y)
+    n = table.n
+    omega = np.count_nonzero(table.exps, axis=1)
+    top = table.exps[np.arange(len(table)), np.maximum(omega - 1, 0)]
+    root = np.array([isqrt(int(v)) for v in n.tolist()])
+    rng = np.random.default_rng(11)
+    rows = np.concatenate(
+        [
+            [0],  # n = 1
+            np.flatnonzero((omega == 1) & (top == 1))[:40],  # primes: stem 1
+            np.flatnonzero((omega == 1) & (top > 1))[:40],  # prime powers: stem 1
+            np.flatnonzero(root * root == n)[1:60],  # squares, on an atom at z = 0
+            np.flatnonzero((omega > 1) & (top > 1))[:60],  # largest prime squared
+            rng.choice(len(table), sample, replace=False),
+        ]
+    ).astype(np.int64)
+    t = tail_queries(table, rows, seed=5)
+    t[0, :3] = (0.0, -1e-13, 1.5 * divdist.MERGE_TOL)  # n = 1: its atom is 0
+
+    fallback = []
+    law_of = divdist.exact_law
+
+    def spy(f):
+        fallback.append(f.n)
+        return law_of(f)
+
+    monkeypatch.setattr(divdist, "exact_law", spy)
+    tails, nudged = table_upper_tails(table, rows, t)
+    monkeypatch.setattr(divdist, "exact_law", law_of)
+    want_tails, want_nudged = per_n_tails(table, rows, t)
+    assert np.array_equal(tails, want_tails)
+    assert np.array_equal(nudged, want_nudged)
+    assert np.all(tails[np.isnan(t)] == 0.0) and not nudged[np.isnan(t)].any()
+    assert nudged[:, 0].any() and nudged[:, 3].any()
+    # 1.5 MERGE_TOL off an atom needs no nudge, and only the guard sends it
+    # to the per-n law
+    assert not nudged[:, 4].any()
+    planted = ~np.isnan(t[:, 4])
+    assert set(n[rows[planted]].tolist()) <= set(fallback)
+
+
+def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):
+    table = smooth_table(10**4, 30)
+    rows = np.arange(len(table))[::-1]
+    monkeypatch.setattr(divdist, "TAU_CEILING", 40)
+    with pytest.raises(ResourceLimitError) as got:
+        table_upper_tails(table, rows, np.zeros((len(rows), 1)))
+    first = next(
+        int(table.n[r]) for r in rows.tolist() if factorize(int(table.n[r])).tau > 40
+    )
+    with pytest.raises(ResourceLimitError) as want:
+        exact_law(factorize(first))
+    assert str(got.value) == str(want.value)

@@ -132,14 +132,16 @@ def test_clt_config_guards():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError):
             CltRunConfig(x=X, y=Y, z_grid=(0.0, bad))
-    with pytest.raises(ConfigError):
-        CltRunConfig(x=X, y=Y, z_grid=(0.0,), C=0.0)
-    with pytest.raises(ConfigError):
-        CltRunConfig(x=X, y=Y, z_grid=(0.0,), w_min=-1.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            CltRunConfig(x=X, y=Y, z_grid=(0.0,), C=bad)
+        with pytest.raises(ConfigError):
+            run_clt(CltRunConfig(x=X, y=Y, z_grid=(0.0,)), B=bad)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ConfigError):
+            CltRunConfig(x=X, y=Y, z_grid=(0.0,), w_min=bad)
     with pytest.raises(ConfigError):
         CltRunConfig(x=X, y=Y, z_grid=(0.0,), sample_cap=0)
-    with pytest.raises(ConfigError):
-        run_clt(CltRunConfig(x=X, y=Y, z_grid=(0.0,)), B=0.0)
 
 
 def test_average_gaussian_at_zero():
@@ -173,8 +175,9 @@ def test_average_z_cap():
 def test_average_config_guards():
     with pytest.raises(ConfigError):
         AverageRunConfig(x=X, y=Y, z_grid=())
-    with pytest.raises(ConfigError):
-        AverageRunConfig(x=X, y=Y, z_grid=(0.0,), c5=0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            AverageRunConfig(x=X, y=Y, z_grid=(0.0,), c5=bad)
     with pytest.raises(ConfigError):
         AverageRunConfig(x=X, y=Y, z_grid=(math.nan,))
     with pytest.raises(ConfigError):
