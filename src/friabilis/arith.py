@@ -178,15 +178,6 @@ class SmoothTable:
         1 in padding."""
         return self._slot_primes[self.slots[index]]
 
-    def factorization(self, i: int) -> Factorization:
-        """Row i as a Factorization."""
-        w = int(np.count_nonzero(self.exps[i]))
-        f = Factorization(
-            tuple(zip(self.primes(i)[:w].tolist(), self.exps[i, :w].tolist()))
-        )
-        f.__dict__["n"] = int(self.n[i])  # seed the cached property
-        return f
-
     def factorizations(self) -> Iterator[Factorization]:
         """Every row as a Factorization, in increasing n."""
         for lo in range(0, len(self.n), _ITER_BLOCK):

@@ -7,11 +7,13 @@ Each per-n function has a columnar counterpart over a SmoothTable
 (table_moments, table_additive_fk, table_upper_tails) that returns, row by
 row, the same floats bit for bit.  table_moments and table_additive_fk
 perform the same IEEE operations in the same order and take log p from
-math.log, as the per-n code does.  table_upper_tails counts the divisors
-of n = m P^e (P its largest prime) from the log d of its stem m shifted by
-i log P, and sends every query that a shifted threshold puts within
-2 MERGE_TOL of a stem atom through the per-n law, so float rounding in
-the shift cannot change a count.
+math.log, as the per-n code does, through one term per (prime, exponent)
+gathered once per slot column.  table_upper_tails counts the divisors of
+n = m P^e (P its largest prime) from the log d of its stem m shifted by
+i log P.  Every query that a shifted threshold puts within 2 MERGE_TOL of
+a stem atom is answered again from the full sorted log-divisors of n,
+nudged as nudge_off_atom would, so float rounding in the shift cannot
+change a count.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from friabilis.errors import DomainError, ResourceLimitError
 from friabilis.saddle import SaddleContext
 
 TAU_CEILING = 2 * 10**6  # largest admissible atom count
-MERGE_TOL = 1e-12  # atoms closer than this collapse into one
+MERGE_TOL = 1e-12  # a query closer than this to an atom is nudged off it
 NUDGE_SCALE = 1e-9  # collision nudge, in units of log n
-ATOM_BUDGET = 2**16  # padded stem atoms, and thresholds, per table_upper_tails chunk
+ATOM_BUDGET = 2**16  # padded atoms, and thresholds, per table_upper_tails chunk
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,9 @@ def moments(f: Factorization) -> DivisorMoments:
 class DivisorLaw:
     """The exact distribution of log d for a uniform divisor d of n.
 
-    values are the distinct atom positions (ascending float64), counts the
-    integer multiplicities; masses are counts/tau exactly.  divisors holds
-    the sorted integer divisors backing the law.
+    values are the atom positions (ascending float64, one per divisor),
+    counts their integer multiplicities (all 1); masses are counts/tau
+    exactly.  divisors holds the sorted integer divisors backing the law.
     """
 
     n: int
@@ -118,9 +120,8 @@ def exact_law(f: Factorization) -> DivisorLaw:
     """Build the full atom list of the log-divisor law of n.
 
     Divisors come from iterated integer convolution over the prime powers
-    (the kernel), so distinct divisors are exact; atom positions closer than
-    MERGE_TOL (possible only from float log collisions) are merged.  A law
-    with tau > TAU_CEILING atoms raises ResourceLimitError.
+    (the kernel), so distinct divisors are exact, and each is one atom.  A
+    law with tau > TAU_CEILING atoms raises ResourceLimitError.
     """
     tau = f.tau
     if tau > TAU_CEILING:
@@ -131,22 +132,16 @@ def exact_law(f: Factorization) -> DivisorLaw:
     primes = np.array([p for p, _ in f.factors], dtype=np.int64)
     exps = np.array([e for _, e in f.factors], dtype=np.int64)
     divisors = kernels.divisor_products(primes, exps)
-    logs = np.log(divisors.astype(np.float64))
-    if len(logs) > 1 and np.any(np.diff(logs) < MERGE_TOL):
-        keep = np.empty(len(logs), dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(logs) >= MERGE_TOL
-        groups = np.cumsum(keep) - 1
-        values = logs[keep]
-        counts = np.bincount(groups).astype(np.int64)
-    else:
-        values = logs
-        counts = np.ones(len(logs), dtype=np.int64)
+    # No two atoms can merge.  For divisors d1 < d2 of n, gcd(d1, d2)
+    # divides d2 - d1 and lcm(d1, d2) <= n, so (d2 - d1) / d1 is at least
+    # max(1 / d1, d2 / n) >= n**-0.5 > 4.6e-10 for n < 2**62: far above
+    # MERGE_TOL plus the rounding of np.log (a few ulps of log n < 43).
+    counts = np.ones(tau, dtype=np.int64)
     return DivisorLaw(
         n=n,
         tau=tau,
         mean=0.5 * f.log_n,
-        values=values,
+        values=np.log(divisors.astype(np.float64)),
         counts=counts,
         divisors=divisors,
         _cum=np.cumsum(counts),
@@ -208,25 +203,41 @@ class MomentColumns:
         return np.sqrt(self.m2)
 
 
+def _term_index(table: SmoothTable, j: int, width: int) -> np.ndarray:
+    """slots[:, j] * width + exps[:, j]: each row's (basis index, exponent)
+    in slot column j, as a flat index into a table of width exponents per
+    basis index.  The slots are widened first; uint8 * width would wrap."""
+    index = table.slots[:, j].astype(np.intp)
+    index *= width
+    index += table.exps[:, j]
+    return index
+
+
 def table_moments(table: SmoothTable) -> MomentColumns:
     """log n and moments() (less tau and t_max) for every row, one slot
     column at a time.
 
+    Each term of the per-n loop is computed once per (basis index,
+    exponent), by the same IEEE operations, and gathered per slot column.
     Padding slots (log p = 0.0, e = 0) add exactly 0.0 to each sum, so
     summing all columns from 0 repeats the per-n loop over the real factors.
     """
-    logs = _prime_logs(table)
+    lp = _prime_logs(table)[:, None]
+    lp2 = lp * lp
+    width = int(table.exps.max(initial=0)) + 1
+    e = np.arange(width, dtype=np.int64)
+    terms = (
+        (e * lp).ravel(),
+        (e * (e + 2) * lp2).ravel(),
+        (e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2).ravel(),
+    )
     rows = len(table)
-    log_n = np.zeros(rows)
-    m2 = np.zeros(rows)
-    m4 = np.zeros(rows)
+    sums = np.zeros((len(terms), rows))
     for j in range(table.exps.shape[1]):
-        ej = table.exps[:, j].astype(np.int64)
-        lpj = logs[table.slots[:, j]]
-        lp2 = lpj * lpj
-        log_n += ej * lpj
-        m2 += ej * (ej + 2) * lp2
-        m4 += ej * (ej + 2) * (3 * ej * ej + 6 * ej - 4) * lp2 * lp2
+        index = _term_index(table, j, width)
+        for total, term in zip(sums, terms):
+            total += term[index]
+    log_n, m2, m4 = sums
     m2 /= 12.0
     m4 /= 240.0
     w = np.ones(rows)
@@ -236,23 +247,26 @@ def table_moments(table: SmoothTable) -> MomentColumns:
 
 
 def table_additive_fk(table: SmoothTable, k: int) -> np.ndarray:
-    """additive_fk(f, k) for every row.  Each distinct (p, e) term is
-    raised to the k-th power by Python's float pow, as additive_fk does."""
+    """additive_fk(f, k) for every row.  Each (p, e) term present is
+    raised to the k-th power by Python's float pow, as additive_fk does,
+    and gathered per slot column."""
     if not 0 <= k <= 8:
         raise DomainError("k must lie in [0, 8]")
     if k == 0:
         return np.count_nonzero(table.exps, axis=1).astype(np.float64)
     logs = _prime_logs(table).tolist()
-    width = table.exps.shape[1]
-    present = np.zeros((len(logs), int(table.exps.max(initial=0)) + 1), dtype=bool)
-    for j in range(width):
-        present[table.slots[:, j], table.exps[:, j]] = True
-    power = np.zeros(present.shape)
-    pairs = np.nonzero(present)
-    power[pairs] = [(e * logs[i]) ** k for i, e in zip(*(a.tolist() for a in pairs))]
+    width = int(table.exps.max(initial=0)) + 1
+    present = np.zeros(len(logs) * width, dtype=bool)
+    for j in range(table.exps.shape[1]):
+        present[_term_index(table, j, width)] = True
+    pairs = np.flatnonzero(present)
+    power = np.zeros(len(present))
+    power[pairs] = [
+        (e * logs[i]) ** k for i, e in zip(*(a.tolist() for a in np.divmod(pairs, width)))
+    ]
     fk = np.zeros(len(table))
-    for j in range(width):
-        fk += power[table.slots[:, j], table.exps[:, j]]
+    for j in range(table.exps.shape[1]):
+        fk += power[_term_index(table, j, width)]
     return fk
 
 
@@ -281,14 +295,14 @@ def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return np.log(d.astype(np.float64))
 
 
-def _stem_chunks(
+def _key_chunks(
     key: np.ndarray, modulus: int, queries: np.ndarray
 ) -> Iterator[tuple[int, int]]:
-    """Ranges of rows, in ascending stem key, that hold at most ATOM_BUDGET
-    padded stem atoms and at most ATOM_BUDGET queries (or a single row).
+    """Ranges of rows, in ascending key, that hold at most ATOM_BUDGET
+    padded atoms and at most ATOM_BUDGET queries (or a single row).
 
-    key is tau(stem) * modulus + stem row, so the widest stem of a range is
-    its last; queries is each row's query count.
+    key is tau * modulus + the table row whose atoms are expanded, so the
+    widest row of a range is its last; queries is each key's query count.
     """
     distinct = np.cumsum(np.diff(key, prepend=-1) != 0)
     done = np.concatenate([[0], np.cumsum(queries)])
@@ -306,17 +320,36 @@ def _stem_chunks(
         lo = hi
 
 
-def _stem_atoms(
-    table: SmoothTable, stems: np.ndarray, tau: np.ndarray, width: int
+def _sorted_atoms(
+    table: SmoothTable, rows: np.ndarray, tau: np.ndarray, width: int
 ) -> np.ndarray:
-    """The log-divisors of each stem, ascending, in a row of width entries
-    padded with +inf."""
-    atoms = np.full((len(stems), width), np.inf)
+    """The log-divisors of each row's n, ascending, in a row of width
+    entries padded with +inf."""
+    atoms = np.full((len(rows), width), np.inf)
     atoms[np.arange(width) < tau[:, None]] = _log_divisors(
-        table.primes(stems), table.exps[stems]
+        table.primes(rows), table.exps[rows]
     )
     atoms.sort(axis=1)
     return atoms
+
+
+def _count_below(
+    atoms: np.ndarray, width: int, base: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """#{a < s} over the row of width ascending atoms at flat offset base,
+    each row ending in +inf, so the count is at most width - 1: a
+    branchless binary search, one masked step per bit of width - 1."""
+    pos = np.zeros(s.shape, dtype=np.int64)
+    probe = np.empty_like(pos)
+    atom = np.empty(s.shape)
+    hit = np.empty(s.shape, dtype=bool)
+    for k in range((width - 1).bit_length() - 1, -1, -1):
+        np.add(pos, (1 << k) - 1, out=probe)
+        np.minimum(probe, width - 1, out=probe)
+        probe += base
+        np.less(np.take(atoms, probe, out=atom), s, out=hit)
+        np.add(pos, 1 << k, out=pos, where=hit)
+    return pos
 
 
 def _stem_counts(
@@ -333,7 +366,7 @@ def _stem_counts(
     owner = np.cumsum(first) - 1
     stem_tau = key[first] // len(table)
     width = int(stem_tau[-1]) + 1  # so every row of atoms ends in +inf
-    atoms = _stem_atoms(table, key[first] % len(table), stem_tau, width).ravel()
+    atoms = _sorted_atoms(table, key[first] % len(table), stem_tau, width).ravel()
     # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
     reps = e.astype(np.int64) + 1
     starts = np.cumsum(reps) - reps
@@ -341,21 +374,11 @@ def _stem_counts(
     s = t[child]
     s -= ((np.arange(len(child)) - starts[child]) * log_p[child])[:, None]
     base = (owner[child] * width)[:, None]
-    # branchless binary search for pos = #{log d < s} <= tau(m) <= width - 1
-    pos = np.zeros(s.shape, dtype=np.int64)
-    probe = np.empty_like(pos)
-    atom = np.empty_like(s)
-    hit = np.empty(s.shape, dtype=bool)
-    for k in range((width - 1).bit_length() - 1, -1, -1):
-        np.add(pos, (1 << k) - 1, out=probe)
-        np.minimum(probe, width - 1, out=probe)
-        probe += base
-        np.less(np.take(atoms, probe, out=atom), s, out=hit)
-        np.add(pos, 1 << k, out=pos, where=hit)
+    pos = _count_below(atoms, width, base, s)
     # the nearest log d below s (if any) and at or above it
-    np.maximum(pos, 1, out=probe)
+    probe = np.maximum(pos, 1)
     probe += base - 1
-    np.subtract(s, np.take(atoms, probe, out=atom), out=atom)
+    atom = s - np.take(atoms, probe)
     near = (atom < 2 * MERGE_TOL) & (pos > 0)
     np.add(pos, base, out=probe)
     np.take(atoms, probe, out=atom)
@@ -365,6 +388,61 @@ def _stem_counts(
     count = np.add.reduceat(pos, starts, axis=0)
     tails = count / (stem_tau[owner] * reps)[:, None]
     return tails, np.logical_or.reduceat(near, starts, axis=0)
+
+
+def _on_atom(
+    atoms: np.ndarray, base: np.ndarray, pos: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """nearest_atom_gap(q) < MERGE_TOL, given pos = #{a < q} in the row of
+    ascending atoms at flat offset base."""
+    above = np.take(atoms, base + pos) - q  # +inf past the last atom
+    below = q - np.take(atoms, base + np.maximum(pos, 1) - 1)
+    return (above < MERGE_TOL) | ((pos > 0) & (below < MERGE_TOL))
+
+
+def _nudged_tails(
+    table: SmoothTable, row: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """upper_tail at nudge_off_atom's query, and whether it moved, for each
+    pair of a table row and a threshold t.
+
+    The sorted log-divisors of each distinct n are the values of its
+    exact_law, expanded in ascending tau, ATOM_BUDGET padded atoms at a
+    time.  The nudge loop runs as masked passes over every pair still on
+    an atom, with the same float additions nudge_off_atom makes.
+    """
+    tau = np.prod(table.exps[row].astype(np.int64) + 1, axis=1)
+    key, owner = np.unique(tau * len(table) + row, return_inverse=True)
+    per_key = np.bincount(owner, minlength=len(key))
+    order = np.argsort(owner, kind="stable")
+    done = np.concatenate([[0], np.cumsum(per_key)])
+    tails = np.empty(len(t))
+    nudged = np.zeros(len(t), dtype=bool)
+    for lo, hi in _key_chunks(key, len(table), per_key):
+        pick = order[done[lo] : done[hi]]
+        rows = key[lo:hi] % len(table)
+        n_tau = key[lo:hi] // len(table)
+        width = int(n_tau[-1]) + 1
+        atoms = _sorted_atoms(table, rows, n_tau, width).ravel()
+        mine = owner[pick] - lo
+        base = mine * width
+        n = table.n[rows]
+        step = (NUDGE_SCALE * np.array([log(v) for v in n.tolist()]))[mine]
+        q = t[pick]
+        pos = _count_below(atoms, width, base, q)
+        moving = _on_atom(atoms, base, pos, q) & (n[mine] != 1)
+        nudged[pick] = moving
+        for _ in range(64):
+            if not moving.any():
+                break
+            np.add(q, step, out=q, where=moving)
+            pos = _count_below(atoms, width, base, q)
+            moving &= _on_atom(atoms, base, pos, q)
+        if moving.any():
+            stuck = int(n[mine[np.argmax(moving)]])
+            raise DomainError(f"could not move query off atoms of n = {stuck}")
+        tails[pick] = (n_tau[mine] - pos) / n_tau[mine]
+    return tails, nudged
 
 
 def table_upper_tails(
@@ -389,11 +467,13 @@ def table_upper_tails(
     under 1e-13 for n < 2**62.  So where every shifted threshold lies at
     least 2 MERGE_TOL from every log d, the count equals the one np.log of
     the divisors of n gives, no divisor lies within MERGE_TOL of t, and
-    count / tau is the tail exact_law gives unnudged.  A query with a
-    shifted threshold within 2 MERGE_TOL of a log d goes through exact_law,
-    nudge_off_atom and upper_tail instead (this covers z = 0 on squares,
-    n = 1, and merged atoms), which gives the same float either way.  A row
-    with tau > TAU_CEILING raises ResourceLimitError, as exact_law would.
+    count / tau is the tail exact_law gives unnudged.  The queries with a
+    shifted threshold within 2 MERGE_TOL of a log d (z = 0 on squares, and
+    n = 1, among them) are collected from every chunk and answered in one
+    batch from the full sorted log-divisors of their n, nudged off an atom
+    as nudge_off_atom would: the same floats exact_law, nudge_off_atom and
+    upper_tail give.  A row with tau > TAU_CEILING raises
+    ResourceLimitError, as exact_law would.
     """
     rows = np.asarray(rows, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
@@ -422,15 +502,16 @@ def table_upper_tails(
     tails = np.zeros(t.shape)
     nudged = np.zeros(t.shape, dtype=bool)
     queries = (e[order].astype(np.int64) + 1) * t.shape[1]
-    for lo, hi in _stem_chunks(key, len(table), queries):
+    near_i, near_j = [], []  # the (position in rows, query) pairs flagged
+    for lo, hi in _key_chunks(key, len(table), queries):
         pick = order[lo:hi]
         tails[pick], near = _stem_counts(table, key[lo:hi], t[pick], e[pick], log_p[pick])
-        for c in np.flatnonzero(near.any(axis=1)).tolist():
-            i = int(pick[c])
-            law = exact_law(table.factorization(int(rows[i])))
-            for j in np.flatnonzero(near[c]).tolist():
-                q, nudged[i, j] = nudge_off_atom(law, float(t[i, j]))
-                tails[i, j] = law.upper_tail(q)
+        c, j = np.nonzero(near)
+        near_i.append(pick[c])
+        near_j.append(j)
+    if near_i:
+        i, j = np.concatenate(near_i), np.concatenate(near_j)
+        tails[i, j], nudged[i, j] = _nudged_tails(table, rows[i], t[i, j])
     tails[np.isnan(t)] = 0.0
     return tails, nudged
 

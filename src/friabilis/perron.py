@@ -276,7 +276,7 @@ _GL_W = np.array(
     [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
 )
 _GL_Q = 0.5 * (1.0 + _GL_X)  # the nodes' offsets within a unit panel
-_CHUNK = 250_000
+_CHUNK = 16_384  # nodes, so that a chunk's complex tables (256 KB each) stay in L2
 
 
 def perron_tail_quadrature(

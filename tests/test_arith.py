@@ -182,7 +182,6 @@ def test_smooth_table_slots_at_the_uint8_edge(y, size, dtype):
     assert np.all(table.primes(np.arange(len(table)))[pad] == 1)
     assert len(table) == psi_recursive(x, y)
     want = [factorize(n) for n in table.n.tolist()]
-    assert [table.factorization(i) for i in range(len(table))] == want
     assert list(table.factorizations()) == want
 
 

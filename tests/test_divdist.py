@@ -19,6 +19,7 @@ from friabilis.divdist import (
     model_mean_additive,
     moments,
     nudge_off_atom,
+    table_additive_fk,
     table_moments,
     table_upper_tails,
 )
@@ -237,27 +238,107 @@ def test_table_upper_tails_matches_per_n(x, y, sample, monkeypatch):
     ).astype(np.int64)
     t = tail_queries(table, rows, seed=5)
     t[0, :3] = (0.0, -1e-13, 1.5 * divdist.MERGE_TOL)  # n = 1: its atom is 0
+    t[1, :2] = (-1.5 * divdist.MERGE_TOL, 0.0)  # n = 2: below and on log 1
 
-    fallback = []
-    law_of = divdist.exact_law
+    laws = []
+    full = []
+    batch = divdist._nudged_tails
 
-    def spy(f):
-        fallback.append(f.n)
-        return law_of(f)
+    def spy(table, row, t):
+        full.extend(table.n[row].tolist())
+        return batch(table, row, t)
 
-    monkeypatch.setattr(divdist, "exact_law", spy)
+    monkeypatch.setattr(divdist, "exact_law", lambda f: laws.append(f))
+    monkeypatch.setattr(divdist, "nudge_off_atom", lambda *a: laws.append(a))
+    monkeypatch.setattr(divdist, "_nudged_tails", spy)
     tails, nudged = table_upper_tails(table, rows, t)
-    monkeypatch.setattr(divdist, "exact_law", law_of)
+    monkeypatch.undo()
+    assert laws == []  # no per-n law is built
     want_tails, want_nudged = per_n_tails(table, rows, t)
     assert np.array_equal(tails, want_tails)
     assert np.array_equal(nudged, want_nudged)
     assert np.all(tails[np.isnan(t)] == 0.0) and not nudged[np.isnan(t)].any()
     assert nudged[:, 0].any() and nudged[:, 3].any()
     # 1.5 MERGE_TOL off an atom needs no nudge, and only the guard sends it
-    # to the per-n law
+    # to the full log-divisors of n
     assert not nudged[:, 4].any()
     planted = ~np.isnan(t[:, 4])
-    assert set(n[rows[planted]].tolist()) <= set(fallback)
+    assert set(n[rows[planted]].tolist()) <= set(full)
+
+
+def nudge_case():
+    """S(1e5, 30) rows with a query on an atom (z = 0 on squares, n = 1,
+    planted atoms), next to queries off any atom."""
+    table = smooth_table(10**5, 30)
+    rows = np.arange(0, len(table), 7, dtype=np.int64)
+    return table, rows, tail_queries(table, rows, seed=9)
+
+
+def test_table_upper_tails_nudges_in_several_steps(monkeypatch):
+    # a step of 1e-14 log n < MERGE_TOL / 8 moves a query off an atom only
+    # after several passes of the nudge loop
+    table, rows, t = nudge_case()
+    monkeypatch.setattr(divdist, "NUDGE_SCALE", 1e-14)
+    tails, nudged = table_upper_tails(table, rows, t)
+    want_tails, want_nudged = per_n_tails(table, rows, t)
+    assert np.array_equal(tails, want_tails)
+    assert np.array_equal(nudged, want_nudged)
+    assert nudged.sum() > 100
+
+
+def test_table_upper_tails_gives_up_after_64_steps(monkeypatch):
+    # 64 steps of 1e-16 log n stay within MERGE_TOL of the atom
+    table, rows, t = nudge_case()
+    monkeypatch.setattr(divdist, "NUDGE_SCALE", 1e-16)
+    with pytest.raises(DomainError, match="could not move query off atoms"):
+        table_upper_tails(table, rows, t)
+    with pytest.raises(DomainError, match="could not move query off atoms"):
+        per_n_tails(table, rows, t)
+
+
+def test_table_upper_tails_of_no_rows():
+    table = smooth_table(10**4, 30)
+    for queries in (0, 3):
+        tails, nudged = table_upper_tails(
+            table, np.array([], dtype=np.int64), np.empty((0, queries))
+        )
+        assert tails.shape == nudged.shape == (0, queries)
+        assert tails.dtype == np.float64 and nudged.dtype == bool
+
+
+def test_log_divisors_are_far_apart():
+    # for d1 < d2 | n, (d2 - d1) / d1 >= n**-0.5: no two atoms come within
+    # MERGE_TOL of each other, even for n near 2**62 with two close primes
+    table = smooth_table(10**8, 30)
+    tau = np.prod(table.exps.astype(np.int64) + 1, axis=1)
+    rng = np.random.default_rng(3)
+    rows = np.concatenate([np.argsort(tau)[-50:], rng.choice(len(table), 300)])
+    cases = [factorize(n) for n in table.n[rows].tolist()]
+    cases.append(Factorization(((2147483629, 1), (2147483647, 1))))
+    assert factorize(2147483629).factors == ((2147483629, 1),)
+    for f in cases:
+        law = exact_law(f)
+        assert np.diff(law.values).min(initial=np.inf) > 100 * divdist.MERGE_TOL, f.n
+        assert law.counts.tolist() == [1] * f.tau
+
+
+@pytest.mark.parametrize(
+    "x,y,slot_dtype,top",
+    [(3 * 10**4, 1619, np.uint16, 14), (10**8, 30, np.uint8, 26)],
+    ids=["S(3e4,1619)", "S(1e8,30)"],
+)
+def test_table_terms_match_per_n(x, y, slot_dtype, top):
+    # the flat term index slot * width + e passes 255 at S(1e8, 30), where
+    # the slots are uint8 and 2**26 makes width 27
+    table = smooth_table(x, y)
+    assert table.slots.dtype == slot_dtype and table.exps.max() == top
+    mom = table_moments(table)
+    fk = [table_additive_fk(table, k) for k in range(9)]
+    for i, f in enumerate(table.factorizations()):
+        want = moments(f)
+        got = (mom.log_n[i], mom.m2[i], mom.m4[i], mom.w[i])
+        assert got == (f.log_n, want.m2, want.m4, want.w), f.n
+        assert [c[i] for c in fk] == [additive_fk(f, k) for k in range(9)], f.n
 
 
 def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):

@@ -266,17 +266,22 @@ def _seeded_factorizations() -> list[Factorization]:
 @pytest.mark.parametrize("f", _seeded_factorizations(), ids=lambda f: str(f.n))
 def test_perron_matches_direct_grid_oracle(f):
     # steps give one-panel rows (1, 7), a partial last row (255, 257), an
-    # exact fit (256) and one, two and three chunks of 62,500 panels
+    # exact fit (256), a chunk of 4,096 panels and one more panel (4,097),
+    # and 5 to 32 chunks, then the acceptance size T = 200, 200,000 steps
     mom = moments(f)
     t, _ = nudge_off_atom(exact_law(f), 0.5 * f.log_n + 0.5 * mom.sigma)
     beta = solve_beta(f, 0.5, t=t)
-    for T in (50.0, 200.0):
-        for steps in (1, 7, 255, 256, 257, 20_000, 62_501, 130_000):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # coarse panels
-                got = perron_tail_quadrature(f, 0.5, T=T, steps=steps, t=t)
-            want = oracle_perron_quadrature(f, beta, t, T, steps)
-            assert abs(got - want) <= 1e-12, (T, steps, got, want)
+    grid = [
+        (T, steps)
+        for T in (50.0, 200.0)
+        for steps in (1, 7, 255, 256, 257, 4_097, 20_000, 62_501, 130_000)
+    ]
+    for T, steps in grid + [(200.0, 200_000)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # coarse panels
+            got = perron_tail_quadrature(f, 0.5, T=T, steps=steps, t=t)
+        want = oracle_perron_quadrature(f, beta, t, T, steps)
+        assert abs(got - want) <= 1e-12, (T, steps, got, want)
 
 
 def test_perron_warns_on_coarse_panels():
