@@ -20,6 +20,14 @@ SIEVE_CEILING = 10**7  # largest admissible sieve limit
 ENUM_CEILING = 10**8  # largest admissible |S(x, y)| per enumeration
 MEMO_CEILING = 10**7  # largest admissible recursion memo table
 N_CEILING = 2**62  # divisor products must stay inside int64
+MEMORY_CEILING = 4 * 2**30  # largest admissible estimated bytes of a smooth_table
+# Bytes per row of S(x, y) that smooth_table's estimate charges.  The build
+# alone peaked at 107 (tracemalloc: 314 MB for the 2,944,730 rows of
+# S(1e9, 100)); a whole `average` run, the heaviest caller, at 181 (peak
+# RSS 1,590 MB for the 8,800,084 rows of S(1e10, 100)).  The larger, rounded
+# up: at this rate S(1e10, 100) needs 1.7 GB and S(1e11, 100), 24.9M rows,
+# 4.8 GB, past the ceiling.
+ROW_BYTES = 192
 
 
 class _PrimeCache:
@@ -109,36 +117,48 @@ class Factorization:
         return self.factors[-1][0] if self.factors else 1
 
 
+_TRIAL_FIRST = 1_000  # the first prefix of trial primes that factorize() takes
+_TRIAL_GROWTH = 32  # and the factor by which each later prefix grows
+
+
 def factorize(n) -> Factorization:
     """Factor n by trial division over sieved primes.
 
     n must satisfy 1 <= n < 2**62 so downstream divisor products stay in
-    int64.  Trial primes stop at min(sqrt(n), SIEVE_CEILING), and one
-    vectorized n % p pass over them picks the ones that divide n; a cofactor
-    small enough to have been reached by that range is prime, and anything
-    larger raises ResourceLimitError rather than guessing.
+    int64.  Trial primes are taken in growing prefixes, the primes up to
+    _TRIAL_FIRST and then _TRIAL_GROWTH times further each time, with one
+    vectorized m % p pass per prefix picking the ones that divide what is
+    left, m.  The walk stops once the last prime tried is at least sqrt(m),
+    so a smooth n sieves and divides no further than its own primes need;
+    the cofactor m is then 1 or prime.  Past SIEVE_CEILING a cofactor that
+    trial division cannot certify raises ResourceLimitError rather than
+    guessing.
     """
     n = int(n)
     if n < 1:
         raise DomainError("n must be >= 1")
     if n >= N_CEILING:
         raise DomainError(f"n must be < 2**62, got {n}")
-    if n == 1:
-        return Factorization(())
     factors = []
     m = n
-    bound = min(isqrt(n), SIEVE_CEILING)
-    primes = sieve_primes(bound)
-    for p in primes[n % primes == 0].tolist():  # n < 2**62 fits in int64
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
+    tried = 1  # every prime <= tried is divided out of m
+    limit = _TRIAL_FIRST
+    while tried < min(isqrt(m), SIEVE_CEILING):
+        top = min(limit, isqrt(m), SIEVE_CEILING)
+        primes = sieve_primes(top)
+        primes = primes[np.searchsorted(primes, tried, side="right") :]
+        for p in primes[m % primes == 0].tolist():  # m < 2**62 fits in int64
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        tried = top
+        limit *= _TRIAL_GROWTH
     if m > 1:
-        if isqrt(m) > bound:
+        if isqrt(m) > tried:
             raise ResourceLimitError(
-                f"cofactor {m} has no prime factor <= {bound}; "
+                f"cofactor {m} has no prime factor <= {SIEVE_CEILING}; "
                 "certifying it needs trial division past the sieve ceiling"
             )
         factors.append((m, 1))
@@ -207,7 +227,9 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
     p times the rows up to x / p, a prefix of the rows sorted by n.  Each
     child records its parent row and the basis index and exponent of its
     last factor; the slot matrices are read back along those links at the
-    end.  The row count is checked before each step allocates its rows.
+    end.  The row count, and the bytes estimated from it at ROW_BYTES a row,
+    are checked against limit and MEMORY_CEILING before each step allocates
+    its rows.
     """
     x = int(x)
     y = int(y)
@@ -221,6 +243,11 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
         if size > limit:
             raise ResourceLimitError(
                 f"enumeration of S({x}, {y}) exceeds ceiling {limit}"
+            )
+        if size * ROW_BYTES > MEMORY_CEILING:
+            raise ResourceLimitError(
+                f"table of S({x}, {y}) needs at least {size} rows, an estimated "
+                f"{size * ROW_BYTES} bytes, past the memory ceiling {MEMORY_CEILING}"
             )
 
     n = np.ones(1, dtype=np.int64)

@@ -59,6 +59,60 @@ def test_factorize_refuses_uncertifiable_cofactor():
     # sieve ceiling, so trial division cannot certify the cofactor
     with pytest.raises(ResourceLimitError):
         factorize(2**62 - 1)
+    # so does the prime 2**61 - 1, with the same message as before the
+    # trial primes were walked in prefixes
+    with pytest.raises(ResourceLimitError) as err:
+        factorize(2**61 - 1)
+    assert str(err.value) == (
+        f"cofactor {2**61 - 1} has no prime factor <= {SIEVE_CEILING}; "
+        "certifying it needs trial division past the sieve ceiling"
+    )
+
+
+def brute_factor_vectorized(n: int) -> tuple[tuple[int, int], ...]:
+    # every d <= sqrt(cofactor) that divides it, in ascending blocks of
+    # 2**20; the ones that still divide it when reached are its primes
+    out = []
+    lo = 2
+    while lo <= math.isqrt(n):
+        d = np.arange(lo, min(lo + 2**20, math.isqrt(n) + 1), dtype=np.int64)
+        for p in d[n % d == 0].tolist():
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                out.append((p, e))
+        lo += 2**20
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _seeded_large_n() -> list[int]:
+    rng = np.random.default_rng(2016)
+    seeded = rng.integers(10**12, 10**13, size=12).tolist()
+    return seeded + [
+        6 * 1_000_000_007,  # a prime cofactor past 1e7
+        9_999_991 * 9_999_973,  # two primes near the sieve ceiling
+        9_999_991**2,  # p**2 with p near 1e7
+        2**61,
+        2**5 * 3**3 * 997 * 991 * 983,  # smooth, primes near the first prefix
+    ]
+
+
+@pytest.mark.parametrize("n", _seeded_large_n())
+def test_factorize_matches_vectorized_trial_division(n):
+    assert factorize(n).factors == brute_factor_vectorized(n)
+
+
+def test_factorize_of_smooth_n_sieves_only_its_prefix(monkeypatch):
+    from friabilis import arith
+
+    monkeypatch.setattr(arith, "_primes", arith._PrimeCache())
+    n = 997 * 991 * 983 * 977 * 11  # 1000-smooth, about 1.04e13
+    assert factorize(n).factors == ((11, 1), (977, 1), (983, 1), (991, 1), (997, 1))
+    assert arith._primes.size - 1 <= 1_000
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -193,6 +247,19 @@ def test_enumeration_is_sorted_unique():
 def test_enumeration_limit_raises():
     with pytest.raises(ResourceLimitError):
         list(SmoothSet(10**6, 7, limit=10))
+
+
+@pytest.mark.parametrize("x,y", [(1000, 10), (10**4, 150)])
+def test_smooth_table_memory_ceiling(monkeypatch, x, y):
+    # (1e4, 150) reaches its last rows through the large-prime step
+    from friabilis import arith
+
+    rows = psi_recursive(x, y)
+    monkeypatch.setattr(arith, "MEMORY_CEILING", rows * arith.ROW_BYTES)
+    assert len(smooth_table(x, y)) == rows
+    monkeypatch.setattr(arith, "MEMORY_CEILING", rows * arith.ROW_BYTES - 1)
+    with pytest.raises(ResourceLimitError, match="memory ceiling"):
+        smooth_table(x, y)
 
 
 def test_psi_conventions_and_limits():

@@ -239,6 +239,18 @@ def test_resource_limit_exit_code(capsys, monkeypatch):
     assert "resource limit" in err
 
 
+def test_memory_ceiling_exit_code(capsys, monkeypatch):
+    from friabilis import arith
+
+    monkeypatch.setattr(arith, "MEMORY_CEILING", 100 * arith.ROW_BYTES)
+    code, out, err = run_cli(
+        capsys, "concentration", "--x", "1e4", "--y", "30", "--k-list", "0", "--thresholds", "0.1"
+    )
+    assert code == 3
+    assert out == ""
+    assert "memory ceiling" in err
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

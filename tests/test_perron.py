@@ -267,14 +267,17 @@ def _seeded_factorizations() -> list[Factorization]:
 def test_perron_matches_direct_grid_oracle(f):
     # steps give one-panel rows (1, 7), a partial last row (255, 257), an
     # exact fit (256), a chunk of 4,096 panels and one more panel (4,097),
-    # and 5 to 32 chunks, then the acceptance size T = 200, 200,000 steps
+    # and 5 to 32 chunks, then the acceptance size T = 200, 200,000 steps.
+    # A last chunk of 4,095 panels (alone, or after one full chunk at 8,191)
+    # pads to 133 rows of 31 panels, 16,492 nodes, more than a full chunk's
+    # 16,384: the workspace must hold it
     mom = moments(f)
     t, _ = nudge_off_atom(exact_law(f), 0.5 * f.log_n + 0.5 * mom.sigma)
     beta = solve_beta(f, 0.5, t=t)
     grid = [
         (T, steps)
         for T in (50.0, 200.0)
-        for steps in (1, 7, 255, 256, 257, 4_097, 20_000, 62_501, 130_000)
+        for steps in (1, 7, 255, 256, 257, 4_095, 4_097, 8_191, 20_000, 62_501, 130_000)
     ]
     for T, steps in grid + [(200.0, 200_000)]:
         with warnings.catch_warnings():
