@@ -111,11 +111,6 @@ class Factorization:
     def omega(self) -> int:
         return len(self.factors)
 
-    @property
-    def max_prime(self) -> int:
-        """Largest prime factor, with the convention P(1) = 1."""
-        return self.factors[-1][0] if self.factors else 1
-
 
 _TRIAL_FIRST = 1_000  # the first prefix of trial primes that factorize() takes
 _TRIAL_GROWTH = 32  # and the factor by which each later prefix grows
@@ -215,8 +210,9 @@ class SmoothTable:
                 yield f
 
 
-def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
-    """S(x, y) as a SmoothTable; |S(x, y)| > limit raises ResourceLimitError.
+def smooth_table(x, y) -> SmoothTable:
+    """S(x, y) as a SmoothTable; |S(x, y)| > ENUM_CEILING raises
+    ResourceLimitError.
 
     Rows grow from n = 1 one prime at a time, in ascending order, so a new
     factor always lands in the next free slot.  A prime p <= sqrt(x) gives
@@ -228,8 +224,8 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
     child records its parent row and the basis index and exponent of its
     last factor; the slot matrices are read back along those links at the
     end.  The row count, and the bytes estimated from it at ROW_BYTES a row,
-    are checked against limit and MEMORY_CEILING before each step allocates
-    its rows.
+    are checked against ENUM_CEILING and MEMORY_CEILING before each step
+    allocates its rows.
     """
     x = int(x)
     y = int(y)
@@ -240,9 +236,9 @@ def smooth_table(x, y, *, limit: int = ENUM_CEILING) -> SmoothTable:
     root = isqrt(max(x, 0))
 
     def check(size: int) -> None:
-        if size > limit:
+        if size > ENUM_CEILING:
             raise ResourceLimitError(
-                f"enumeration of S({x}, {y}) exceeds ceiling {limit}"
+                f"enumeration of S({x}, {y}) exceeds ceiling {ENUM_CEILING}"
             )
         if size * ROW_BYTES > MEMORY_CEILING:
             raise ResourceLimitError(
@@ -323,10 +319,9 @@ class SmoothSet:
 
     x: int
     y: int
-    limit: int = ENUM_CEILING
 
     def __iter__(self) -> Iterator[Factorization]:
-        return smooth_table(self.x, self.y, limit=self.limit).factorizations()
+        return smooth_table(self.x, self.y).factorizations()
 
 
 def enumerate_smooth(x, y) -> SmoothSet:

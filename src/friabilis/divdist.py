@@ -13,7 +13,11 @@ n = m P^e (P its largest prime) from the log d of its stem m shifted by
 i log P.  Every query that a shifted threshold puts within 2 MERGE_TOL of
 a stem atom is answered again from the full sorted log-divisors of n,
 nudged as nudge_off_atom would, so float rounding in the shift cannot
-change a count.
+change a count.  One search serves both passes: over chunks of sorted
+log-divisors, expanded once per distinct row, it returns the count of atoms
+below a threshold and the distance to the nearest one.  The stem pass
+flags a distance under 2 MERGE_TOL; the nudge pass, where each flagged n is
+its own stem with no shift, moves a query while it is under MERGE_TOL.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ TAU_CEILING = 2 * 10**6  # largest admissible atom count
 MERGE_TOL = 1e-12  # a query closer than this to an atom is nudged off it
 NUDGE_SCALE = 1e-9  # collision nudge, in units of log n
 ATOM_BUDGET = 2**16  # padded atoms, and thresholds, per table_upper_tails chunk
+MODEL_REL_TOL = 1e-15  # where model_mean_additive stops its nu-sum
 
 
 @dataclass(frozen=True)
@@ -80,28 +85,25 @@ def moments(f: Factorization) -> DivisorMoments:
 class DivisorLaw:
     """The exact distribution of log d for a uniform divisor d of n.
 
-    values are the atom positions (ascending float64, one per divisor),
-    counts their integer multiplicities (all 1); masses are counts/tau
-    exactly.  divisors holds the sorted integer divisors backing the law.
+    values are the atom positions (ascending float64, one per divisor, so
+    each has mass exactly 1/tau).  divisors holds the sorted integer
+    divisors backing the law.
     """
 
     n: int
     tau: int
-    mean: float
     values: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
     divisors: np.ndarray = field(repr=False)
-    _cum: np.ndarray = field(repr=False)
 
     def atoms(self) -> Iterator[tuple[float, Fraction]]:
         """(position, exact mass) pairs, ascending."""
-        for v, c in zip(self.values.tolist(), self.counts.tolist()):
-            yield v, Fraction(int(c), self.tau)
+        mass = Fraction(1, self.tau)
+        for v in self.values.tolist():
+            yield v, mass
 
     def count_ge(self, t: float) -> int:
         """Number of divisors with log d >= t (atoms at t count fully)."""
-        i = int(np.searchsorted(self.values, t, side="left"))
-        return self.tau - (int(self._cum[i - 1]) if i > 0 else 0)
+        return self.tau - int(np.searchsorted(self.values, t, side="left"))
 
     def upper_tail(self, t: float) -> float:
         return self.count_ge(t) / self.tau
@@ -136,15 +138,8 @@ def exact_law(f: Factorization) -> DivisorLaw:
     # divides d2 - d1 and lcm(d1, d2) <= n, so (d2 - d1) / d1 is at least
     # max(1 / d1, d2 / n) >= n**-0.5 > 4.6e-10 for n < 2**62: far above
     # MERGE_TOL plus the rounding of np.log (a few ulps of log n < 43).
-    counts = np.ones(tau, dtype=np.int64)
     return DivisorLaw(
-        n=n,
-        tau=tau,
-        mean=0.5 * f.log_n,
-        values=np.log(divisors.astype(np.float64)),
-        counts=counts,
-        divisors=divisors,
-        _cum=np.cumsum(counts),
+        n=n, tau=tau, values=np.log(divisors.astype(np.float64)), divisors=divisors
     )
 
 
@@ -298,11 +293,11 @@ def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
 def _key_chunks(
     key: np.ndarray, modulus: int, queries: np.ndarray
 ) -> Iterator[tuple[int, int]]:
-    """Ranges of rows, in ascending key, that hold at most ATOM_BUDGET
-    padded atoms and at most ATOM_BUDGET queries (or a single row).
+    """Ranges of items, in ascending key, that hold at most ATOM_BUDGET
+    padded atoms and at most ATOM_BUDGET queries (or a single item).
 
     key is tau * modulus + the table row whose atoms are expanded, so the
-    widest row of a range is its last; queries is each key's query count.
+    widest row of a range is its last; queries is each item's query count.
     """
     distinct = np.cumsum(np.diff(key, prepend=-1) != 0)
     done = np.concatenate([[0], np.cumsum(queries)])
@@ -320,25 +315,41 @@ def _key_chunks(
         lo = hi
 
 
-def _sorted_atoms(
-    table: SmoothTable, rows: np.ndarray, tau: np.ndarray, width: int
-) -> np.ndarray:
-    """The log-divisors of each row's n, ascending, in a row of width
-    entries padded with +inf."""
-    atoms = np.full((len(rows), width), np.inf)
-    atoms[np.arange(width) < tau[:, None]] = _log_divisors(
-        table.primes(rows), table.exps[rows]
-    )
-    atoms.sort(axis=1)
-    return atoms
+def _atom_chunks(
+    table: SmoothTable, key: np.ndarray, queries: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(lo, hi, atoms, base, tau) for each _key_chunks range of items in
+    ascending key, tau * len(table) + the row whose atoms are expanded.
+
+    atoms holds the log-divisors of each distinct row of the range,
+    ascending, in a row of width = the last tau + 1 entries padded with
+    +inf; base is each item's flat offset into atoms and tau its atom count.
+    """
+    for lo, hi in _key_chunks(key, len(table), queries):
+        first = np.diff(key[lo:hi], prepend=-1) != 0
+        tau = key[lo:hi] // len(table)
+        rows = key[lo:hi][first] % len(table)
+        width = int(tau[-1]) + 1
+        atoms = np.full((len(rows), width), np.inf)
+        atoms[np.arange(width) < tau[first][:, None]] = _log_divisors(
+            table.primes(rows), table.exps[rows]
+        )
+        atoms.sort(axis=1)
+        yield lo, hi, atoms, (np.cumsum(first) - 1) * width, tau
 
 
-def _count_below(
-    atoms: np.ndarray, width: int, base: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """#{a < s} over the row of width ascending atoms at flat offset base,
-    each row ending in +inf, so the count is at most width - 1: a
-    branchless binary search, one masked step per bit of width - 1."""
+def _search(
+    atoms: np.ndarray, base: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """#{a < s} and the distance from s to the nearest a, over the row of
+    atoms at flat offset base.
+
+    Each row of atoms is ascending and ends in +inf, so the count is at
+    most width - 1: a branchless binary search, one masked step per bit of
+    width - 1.  The distance is nearest_atom_gap's.
+    """
+    width = atoms.shape[1]
+    flat = atoms.reshape(-1)
     pos = np.zeros(s.shape, dtype=np.int64)
     probe = np.empty_like(pos)
     atom = np.empty(s.shape)
@@ -347,57 +358,16 @@ def _count_below(
         np.add(pos, (1 << k) - 1, out=probe)
         np.minimum(probe, width - 1, out=probe)
         probe += base
-        np.less(np.take(atoms, probe, out=atom), s, out=hit)
+        np.less(np.take(flat, probe, out=atom), s, out=hit)
         np.add(pos, 1 << k, out=pos, where=hit)
-    return pos
-
-
-def _stem_counts(
-    table: SmoothTable, key: np.ndarray, t: np.ndarray, e: np.ndarray, log_p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """count(log delta >= t) / tau for rows n = m P^e given in ascending
-    stem key, with a flag where a shifted threshold t - i log P lies within
-    2 MERGE_TOL of a log d of the stem m.
-
-    key is tau(m) * len(table) + m's row; t holds each row's thresholds,
-    e and log_p its e and log P.
-    """
-    first = np.diff(key, prepend=-1) != 0
-    owner = np.cumsum(first) - 1
-    stem_tau = key[first] // len(table)
-    width = int(stem_tau[-1]) + 1  # so every row of atoms ends in +inf
-    atoms = _sorted_atoms(table, key[first] % len(table), stem_tau, width).ravel()
-    # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
-    reps = e.astype(np.int64) + 1
-    starts = np.cumsum(reps) - reps
-    child = np.repeat(np.arange(len(key)), reps)
-    s = t[child]
-    s -= ((np.arange(len(child)) - starts[child]) * log_p[child])[:, None]
-    base = (owner[child] * width)[:, None]
-    pos = _count_below(atoms, width, base, s)
-    # the nearest log d below s (if any) and at or above it
-    probe = np.maximum(pos, 1)
-    probe += base - 1
-    atom = s - np.take(atoms, probe)
-    near = (atom < 2 * MERGE_TOL) & (pos > 0)
+    # the nearest atom at or above s (+inf past the last), then below it
     np.add(pos, base, out=probe)
-    np.take(atoms, probe, out=atom)
-    atom -= 2 * MERGE_TOL
-    near |= atom < s
-    np.subtract(stem_tau[owner][child][:, None], pos, out=pos)
-    count = np.add.reduceat(pos, starts, axis=0)
-    tails = count / (stem_tau[owner] * reps)[:, None]
-    return tails, np.logical_or.reduceat(near, starts, axis=0)
-
-
-def _on_atom(
-    atoms: np.ndarray, base: np.ndarray, pos: np.ndarray, q: np.ndarray
-) -> np.ndarray:
-    """nearest_atom_gap(q) < MERGE_TOL, given pos = #{a < q} in the row of
-    ascending atoms at flat offset base."""
-    above = np.take(atoms, base + pos) - q  # +inf past the last atom
-    below = q - np.take(atoms, base + np.maximum(pos, 1) - 1)
-    return (above < MERGE_TOL) | ((pos > 0) & (below < MERGE_TOL))
+    gap = np.take(flat, probe) - s
+    np.maximum(pos, 1, out=probe)
+    probe += base - 1
+    np.subtract(s, np.take(flat, probe, out=atom), out=atom)
+    np.minimum(gap, atom, out=gap, where=pos > 0)
+    return pos, gap
 
 
 def _nudged_tails(
@@ -406,42 +376,36 @@ def _nudged_tails(
     """upper_tail at nudge_off_atom's query, and whether it moved, for each
     pair of a table row and a threshold t.
 
-    The sorted log-divisors of each distinct n are the values of its
-    exact_law, expanded in ascending tau, ATOM_BUDGET padded atoms at a
-    time.  The nudge loop runs as masked passes over every pair still on
-    an atom, with the same float additions nudge_off_atom makes.
+    Each n is its own stem: the sorted log-divisors of its row are the
+    values of its exact_law.  The nudge loop runs as masked passes over
+    every pair still within MERGE_TOL of an atom, with the same float
+    additions nudge_off_atom makes.
     """
     tau = np.prod(table.exps[row].astype(np.int64) + 1, axis=1)
-    key, owner = np.unique(tau * len(table) + row, return_inverse=True)
-    per_key = np.bincount(owner, minlength=len(key))
-    order = np.argsort(owner, kind="stable")
-    done = np.concatenate([[0], np.cumsum(per_key)])
+    key = tau * len(table) + row
+    order = np.argsort(key, kind="stable")
     tails = np.empty(len(t))
     nudged = np.zeros(len(t), dtype=bool)
-    for lo, hi in _key_chunks(key, len(table), per_key):
-        pick = order[done[lo] : done[hi]]
-        rows = key[lo:hi] % len(table)
-        n_tau = key[lo:hi] // len(table)
-        width = int(n_tau[-1]) + 1
-        atoms = _sorted_atoms(table, rows, n_tau, width).ravel()
-        mine = owner[pick] - lo
-        base = mine * width
-        n = table.n[rows]
-        step = (NUDGE_SCALE * np.array([log(v) for v in n.tolist()]))[mine]
+    for lo, hi, atoms, base, n_tau in _atom_chunks(
+        table, key[order], np.ones(len(key), dtype=np.int64)
+    ):
+        pick = order[lo:hi]
+        n = table.n[row[pick]]
+        step = NUDGE_SCALE * np.array([log(v) for v in n.tolist()])
         q = t[pick]
-        pos = _count_below(atoms, width, base, q)
-        moving = _on_atom(atoms, base, pos, q) & (n[mine] != 1)
+        pos, gap = _search(atoms, base, q)
+        moving = (gap < MERGE_TOL) & (n != 1)
         nudged[pick] = moving
         for _ in range(64):
             if not moving.any():
                 break
             np.add(q, step, out=q, where=moving)
-            pos = _count_below(atoms, width, base, q)
-            moving &= _on_atom(atoms, base, pos, q)
+            pos, gap = _search(atoms, base, q)
+            moving &= gap < MERGE_TOL
         if moving.any():
-            stuck = int(n[mine[np.argmax(moving)]])
+            stuck = int(n[np.argmax(moving)])
             raise DomainError(f"could not move query off atoms of n = {stuck}")
-        tails[pick] = (n_tau[mine] - pos) / n_tau[mine]
+        tails[pick] = (n_tau - pos) / n_tau
     return tails, nudged
 
 
@@ -461,7 +425,8 @@ def table_upper_tails(
     The sorted log d of each distinct stem are expanded once, and a binary
     search answers each shifted threshold.  Rows are taken in ascending
     tau(stem), in chunks of at most ATOM_BUDGET padded stem atoms and
-    ATOM_BUDGET shifted thresholds.
+    ATOM_BUDGET shifted thresholds.  _nudged_tails runs the same chunks and
+    search with each n as its own stem.
 
     np.log(d P^i) and np.log(d) + i log P differ by a few ulps of log n,
     under 1e-13 for n < 2**62.  So where every shifted threshold lies at
@@ -501,12 +466,22 @@ def table_upper_tails(
 
     tails = np.zeros(t.shape)
     nudged = np.zeros(t.shape, dtype=bool)
-    queries = (e[order].astype(np.int64) + 1) * t.shape[1]
+    reps = e.astype(np.int64) + 1
     near_i, near_j = [], []  # the (position in rows, query) pairs flagged
-    for lo, hi in _key_chunks(key, len(table), queries):
+    for lo, hi, atoms, base, stem_tau in _atom_chunks(
+        table, key, reps[order] * t.shape[1]
+    ):
         pick = order[lo:hi]
-        tails[pick], near = _stem_counts(table, key[lo:hi], t[pick], e[pick], log_p[pick])
-        c, j = np.nonzero(near)
+        # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
+        starts = np.cumsum(reps[pick]) - reps[pick]
+        child = np.repeat(np.arange(hi - lo), reps[pick])
+        s = t[pick[child]]
+        s -= ((np.arange(len(child)) - starts[child]) * log_p[pick[child]])[:, None]
+        pos, gap = _search(atoms, base[child][:, None], s)
+        np.subtract(stem_tau[child][:, None], pos, out=pos)
+        count = np.add.reduceat(pos, starts, axis=0)
+        tails[pick] = count / (stem_tau * reps[pick])[:, None]
+        c, j = np.nonzero(np.logical_or.reduceat(gap < 2 * MERGE_TOL, starts, axis=0))
         near_i.append(pick[c])
         near_j.append(j)
     if near_i:
@@ -516,12 +491,12 @@ def table_upper_tails(
     return tails, nudged
 
 
-def model_mean_additive(ctx: SaddleContext, k: int, *, rel_tol: float = 1e-15) -> float:
+def model_mean_additive(ctx: SaddleContext, k: int) -> float:
     """Mean of f_k under the independent model at the saddle tilt:
     sum over p <= y, nu >= 1 of (nu log p)^k p^(-nu alpha) (1 - p^(-alpha)).
 
-    The nu-sum stops once the geometric tail bound falls below rel_tol of
-    the accumulated value, uniformly over primes.
+    The nu-sum stops once the geometric tail bound falls below MODEL_REL_TOL
+    of the accumulated value, uniformly over primes.
     """
     if not 0 <= k <= 8:
         raise DomainError("k must lie in [0, 8]")
@@ -539,7 +514,7 @@ def model_mean_additive(ctx: SaddleContext, k: int, *, rel_tol: float = 1e-15) -
         ratio = r * ((nu + 1.0) / nu) ** k
         if np.all(ratio < 1.0):
             tail = term * ratio / (1.0 - ratio)
-            if np.all(tail <= rel_tol * np.maximum(acc, 1e-300)):
+            if np.all(tail <= MODEL_REL_TOL * np.maximum(acc, 1e-300)):
                 break
         if nu > 100000:
             raise ResourceLimitError("nu-sum failed to converge")

@@ -168,14 +168,6 @@ def gaussian_tail(z) -> float:
     return 0.5 * erfc(float(z) / _SQRT2)
 
 
-def tail_quantile_domain(f: Factorization) -> float:
-    """Supremum of admissible z for solve_beta: log n / (2 sigma)."""
-    mom = moments(f)
-    if mom.m2 == 0.0:
-        raise DomainError("n = 1 has a degenerate law")
-    return f.log_n / (2.0 * mom.sigma)
-
-
 _BETA_TOL = 1e-10
 _BETA_MAX_ITER = 100
 

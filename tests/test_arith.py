@@ -138,10 +138,10 @@ def test_factorization_accessors():
     f = factorize(360)
     assert f.tau == 24
     assert f.omega == 3
-    assert f.max_prime == 5
+    assert f.factors[-1][0] == 5
     assert f.log_n == pytest.approx(math.log(360), rel=1e-15)
     one = factorize(1)
-    assert one.tau == 1 and one.omega == 0 and one.max_prime == 1
+    assert one.tau == 1 and one.omega == 0 and one.factors == ()
 
 
 def test_sieve_primes_small():
@@ -204,7 +204,7 @@ def test_enumeration_matches_brute_membership():
 def test_enumeration_factorizations_are_consistent():
     for f in enumerate_smooth(3000, 7):
         assert f.factors == brute_factor(f.n)
-        assert f.max_prime <= 7
+        assert all(p <= 7 for p, _ in f.factors)
 
 
 def test_heap_and_range_paths_agree():
@@ -244,9 +244,12 @@ def test_enumeration_is_sorted_unique():
     assert ns == sorted(set(ns))
 
 
-def test_enumeration_limit_raises():
-    with pytest.raises(ResourceLimitError):
-        list(SmoothSet(10**6, 7, limit=10))
+def test_enumeration_limit_raises(monkeypatch):
+    from friabilis import arith
+
+    monkeypatch.setattr(arith, "ENUM_CEILING", 10)
+    with pytest.raises(ResourceLimitError, match="exceeds ceiling 10$"):
+        list(SmoothSet(10**6, 7))
 
 
 @pytest.mark.parametrize("x,y", [(1000, 10), (10**4, 150)])

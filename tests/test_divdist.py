@@ -41,7 +41,6 @@ def test_law_matches_brute_divisors(n):
     ds = brute_divisors(n)
     assert law.tau == len(ds)
     assert law.divisors.tolist() == ds
-    assert int(law.counts.sum()) == law.tau
     # no float log collisions at this scale: one atom per divisor
     assert len(law.values) == len(ds)
     assert np.all(np.diff(law.values) > 0)
@@ -173,9 +172,8 @@ def test_law_properties_random(n):
     f = factorize(n)
     law = exact_law(f)
     assert law.tau == f.tau
-    assert int(law.counts.sum()) == law.tau
     assert np.all(np.diff(law.values) > 0)
-    w = np.average(law.values, weights=law.counts)
+    w = np.mean(law.values)
     assert w == pytest.approx(0.5 * math.log(n), abs=1e-10)
     # closed upper tail at the mirror point matches the lower count
     ds = law.divisors
@@ -319,7 +317,6 @@ def test_log_divisors_are_far_apart():
     for f in cases:
         law = exact_law(f)
         assert np.diff(law.values).min(initial=np.inf) > 100 * divdist.MERGE_TOL, f.n
-        assert law.counts.tolist() == [1] * f.tau
 
 
 @pytest.mark.parametrize(

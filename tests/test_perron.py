@@ -23,7 +23,6 @@ from friabilis.perron import (
     perron_tail_quadrature,
     saddle_tail_approx,
     solve_beta,
-    tail_quantile_domain,
     tail_report,
 )
 
@@ -33,6 +32,11 @@ PHI_1 = 0.15865525393145705141
 PHI_8 = 6.2209605742717841235e-16
 
 SAMPLE_N = [2, 6, 60, 97, 1024, 720720, 2**19, 3**12 * 2**7]
+
+
+def tail_quantile_domain(f):
+    """Supremum of admissible z for solve_beta: log n / (2 sigma)."""
+    return f.log_n / (2.0 * moments(f).sigma)
 
 
 def test_gaussian_tail_frozen_points():
@@ -118,10 +122,12 @@ def test_derivative_order_guard():
 
 def test_tail_quantile_domain():
     # a prime's reachable range is exactly [0, 1)
-    assert tail_quantile_domain(factorize(97)) == pytest.approx(1.0, rel=1e-14)
-    assert tail_quantile_domain(factorize(720720)) > 1.0
+    f = factorize(97)
+    assert tail_quantile_domain(f) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(DomainError):
-        tail_quantile_domain(factorize(1))
+        solve_beta(f, 1.0)
+    assert solve_beta(f, 1.0 - 1e-12) > 0.0
+    assert tail_quantile_domain(factorize(720720)) > 1.0
 
 
 @pytest.mark.parametrize("n", SAMPLE_N)
