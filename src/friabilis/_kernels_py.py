@@ -3,6 +3,12 @@
 The library reaches them through friabilis._backend.kernels.  Each sieve
 loops in Python over primes or over divisors d and does its work in
 strided whole-array updates, one per d.
+
+tau_sieve's divisor counts are int32: tau(n) < 2**31 for every n < 2**62.
+tau is sieved once per run, and small_divisor_count_sieve reads that one array for
+every v: the count at v = 1/2 follows from tau by the pairing of d with
+n/d, and any other v sieves only divisors d <= sqrt(limit), into zeros for
+v < 1/2 or off a copy of tau for v > 1/2.
 """
 
 import math
@@ -114,15 +120,17 @@ def divisor_products(primes, exponents):
 
 
 def tau_sieve(limit):
-    """Divisor counts tau(n) for n in 0..limit (tau[0] = 0).
+    """Divisor counts tau(n) for n in 0..limit (tau[0] = 0), as int32.
 
     Divisors of n pair up as d and n/d with d <= sqrt(n), so each
     d <= isqrt(limit) adds 2 at the multiples n >= d*d; at n = d*d the pair
-    is d twice, which the final -1 takes back.
+    is d twice, which the final -1 takes back.  int32 holds every count a
+    sieve can reach: tau(n) < 2**31 for all n < 2**62, and the largest tau
+    below 1e18 is 103,680.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    tau = np.zeros(limit + 1, dtype=np.int64)
+    tau = np.zeros(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
     for d in range(1, root + 1):
         tau[d * d :: d] += 2
@@ -133,28 +141,39 @@ def tau_sieve(limit):
 _MAX_DENOM = 100  # largest k of a fraction j/k that v snaps to
 
 
-def small_divisor_count_sieve(limit, v):
-    """Counts of divisors d of n with d <= n**v, for every n in 0..limit.
+def small_divisor_count_sieve(tau, v):
+    """Counts of divisors d of n with d <= n**v, for every n in 0..limit,
+    where limit = len(tau) - 1.
 
-    Divisors pair up as d and e = n/d, and d <= n**v exactly when
-    e >= n**(1-v).  So for v <= 1/2 each d adds 1 at the multiples n with
-    d <= n**v, and for v > 1/2 the count is tau(n) less the divisors
-    e < n**(1-v).  Either way only d (or e) <= sqrt(limit) can contribute.
-    When v is within 1e-12 of a fraction j/k with k <= _MAX_DENOM, the edge
-    d = n**v is decided exactly, as d**k <= n**j in integers; otherwise it
-    is decided by comparing float logs.
+    tau is tau_sieve(limit), which this reads and never modifies, so one
+    tau sieve serves every v.  Divisors pair up as d and e = n/d, and
+    d <= n**v exactly when e >= n**(1-v).  At v = 1/2 that is one divisor
+    of each pair d != sqrt(n), and sqrt(n) itself once, so the count is
+    (tau(n) + [n is a square]) // 2 with no sieve.  Otherwise, for v < 1/2
+    each d adds 1 at the multiples n with d <= n**v, and for v > 1/2 the
+    count is tau(n) less the divisors e < n**(1-v); either way only d (or e)
+    <= sqrt(limit) can contribute.  When v is within 1e-12 of a fraction
+    j/k with k <= _MAX_DENOM, the edge d = n**v is decided exactly, as
+    d**k <= n**j in integers; otherwise it is decided by comparing float
+    logs.
     """
+    limit = len(tau) - 1
     if limit < 0:
-        raise ValueError("limit must be >= 0")
+        raise ValueError("tau must hold at least tau(0)")
     if not 0.0 < v <= 1.0:
         raise ValueError("v must lie in (0, 1]")
     frac = Fraction(v).limit_denominator(_MAX_DENOM)
     exact = frac > 0 and abs(v - frac) < 1e-12
+    if exact and frac == Fraction(1, 2):
+        out = tau.copy()
+        out[np.arange(1, math.isqrt(limit) + 1) ** 2] += 1
+        out //= 2
+        return out
     if v <= 0.5:
-        out = np.zeros(limit + 1, dtype=np.int64)
+        out = np.zeros(limit + 1, dtype=np.int32)
         c, step, strict = (frac if exact else v), 1, False
     else:
-        out = tau_sieve(limit)
+        out = tau.copy()
         if exact and frac == 1:
             return out
         c, step, strict = (1 - frac if exact else 1.0 - v), -1, True

@@ -17,6 +17,7 @@ from math import asin, exp, isfinite, pi, sqrt
 
 import numpy as np
 
+from friabilis import arith
 from friabilis._backend import BACKEND, kernels
 from friabilis.arith import smooth_table
 from friabilis.divdist import (
@@ -25,7 +26,7 @@ from friabilis.divdist import (
     table_moments,
     table_upper_tails,
 )
-from friabilis.errors import ConfigError
+from friabilis.errors import ConfigError, ResourceLimitError
 from friabilis.perron import gaussian_tail
 from friabilis.saddle import make_context
 
@@ -403,6 +404,13 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
 
 # -- arcsine profile over all integers ---------------------------------------
 
+# Bytes per n <= x that arcsine_check's estimate charges against
+# arith.MEMORY_CEILING.  Its peak is tau and one v's counts, both int32, and
+# their float64 ratio: 16.07 bytes per n under tracemalloc at x = 2e6, for
+# any grid of v.  Rounded up, which puts the largest x under the 4 GiB
+# ceiling near 2.1e8.
+ARCSINE_BYTES_PER_N = 20
+
 
 @dataclass(frozen=True)
 class ArcsineRow:
@@ -417,7 +425,9 @@ def arcsine_check(x: int, vs) -> RunResult:
     arcsine law (2/pi) arcsin sqrt(v).
 
     Runs over all integers up to x (no smoothness restriction); the sieve
-    kernels carry the whole computation.
+    kernels carry the whole computation.  tau is sieved once, and every v
+    reads it.  An x whose arrays, at ARCSINE_BYTES_PER_N bytes per n, would
+    pass arith.MEMORY_CEILING raises ResourceLimitError before any sieving.
     """
     x = int(x)
     if x < 1:
@@ -425,11 +435,17 @@ def arcsine_check(x: int, vs) -> RunResult:
     grid = _as_float_grid(vs)
     if any(not 0.0 < v <= 1.0 for v in grid):
         raise ConfigError("each v must lie in (0, 1]")
-    tau = kernels.tau_sieve(x)[1:].astype(np.float64)
+    need = (x + 1) * ARCSINE_BYTES_PER_N
+    if need > arith.MEMORY_CEILING:
+        raise ResourceLimitError(
+            f"arcsine at x = {x} needs an estimated {need} bytes, "
+            f"past the memory ceiling {arith.MEMORY_CEILING}"
+        )
+    tau = kernels.tau_sieve(x)
     rows = []
     for v in grid:
-        counts = kernels.small_divisor_count_sieve(x, v)[1:]
-        empirical = float(np.mean(counts / tau))
+        counts = kernels.small_divisor_count_sieve(tau, v)
+        empirical = float(np.mean(counts[1:] / tau[1:]))
         limit = 2.0 / pi * asin(sqrt(v))
         rows.append(
             ArcsineRow(v=v, empirical=empirical, limit=limit, gap=abs(empirical - limit))

@@ -1,5 +1,6 @@
 """CLI surface: every subcommand end to end, output shapes, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -249,6 +250,23 @@ def test_memory_ceiling_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "memory ceiling" in err
+
+
+def test_arcsine_past_memory_ceiling_exit_code(capsys):
+    # refused before any allocation: the sieve alone would need terabytes
+    code, out, err = run_cli(capsys, "arcsine", "--x", "1e12")
+    assert code == 3
+    assert out == ""
+    assert "memory ceiling" in err
+
+
+def test_arcsine_benchmark_csv_digest(tmp_path):
+    # the bytes the benchmark's `sieve` workload writes, which every change
+    # to the arcsine kernels must keep
+    path = tmp_path / "arcsine.csv"
+    assert cli.main(["arcsine", "--x", "2e6", "--vs", "0.25,0.5", "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "f5517f823747d45328166bba0bf95798daa8af9f31501d2c5413bf7c6f90506c"
 
 
 def test_unknown_command():

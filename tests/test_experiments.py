@@ -3,13 +3,14 @@ statistical sanity of each run kind at desk scale."""
 
 import json
 import math
+from fractions import Fraction
 from math import exp
 
 import numpy as np
 import pytest
 
-from friabilis import divdist
-from friabilis._backend import BACKEND
+from friabilis import arith, divdist, experiments
+from friabilis._backend import BACKEND, kernels
 from friabilis.arith import enumerate_smooth, psi_exact
 from friabilis.divdist import (
     additive_fk,
@@ -247,6 +248,51 @@ def test_arcsine_guards():
         arcsine_check(100, (1.2,))
     with pytest.raises(ConfigError):
         arcsine_check(100, ())
+
+
+def test_arcsine_sieves_tau_once(monkeypatch):
+    calls = []
+    sieve = kernels.tau_sieve
+
+    def spy(limit):
+        calls.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(kernels, "tau_sieve", spy)
+    arcsine_check(10**4, (0.25, 0.5, 0.75, 1.0))
+    assert calls == [10**4]
+
+
+def test_arcsine_empirical_matches_brute():
+    x = 2 * 10**4
+    vs = (0.25, 0.5, 0.75, 1 / 3, 2 / 3, 0.5 + 1e-9, 1.0)
+    divisors = [[] for _ in range(x + 1)]
+    for d in range(1, x + 1):
+        for n in range(d, x + 1, d):
+            divisors[n].append(d)
+    tau = np.array([len(divisors[n]) for n in range(1, x + 1)], dtype=np.float64)
+    rows = arcsine_check(x, vs).rows
+    for v, row in zip(vs, rows):
+        frac = Fraction(v).limit_denominator(100)
+        if abs(v - frac) < 1e-12:
+            j, k = frac.numerator, frac.denominator
+            counts = [sum(d**k <= n**j for d in divisors[n]) for n in range(1, x + 1)]
+        else:
+            counts = [
+                sum(math.log(d) <= v * math.log(n) for d in divisors[n]) for n in range(1, x + 1)
+            ]
+        brute = float(np.mean(np.array(counts, dtype=np.float64) / tau))
+        assert row.empirical == brute, (v, row.empirical, brute)
+
+
+def test_arcsine_memory_ceiling(monkeypatch):
+    x = 1_000
+    estimate = (x + 1) * experiments.ARCSINE_BYTES_PER_N
+    monkeypatch.setattr(arith, "MEMORY_CEILING", estimate)
+    arcsine_check(x, (0.5,))
+    monkeypatch.setattr(arith, "MEMORY_CEILING", estimate - 1)
+    with pytest.raises(ResourceLimitError, match="memory ceiling"):
+        arcsine_check(x, (0.5,))
 
 
 def test_json_payload_shape():

@@ -1,5 +1,8 @@
 """The NumPy kernels against definitions and against each other."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -36,7 +39,7 @@ def test_tau_sieve_against_definition():
 
 @pytest.mark.parametrize("v", [0.25, 0.5, 1.0])
 def test_small_divisor_count_against_definition(v):
-    counts = kpy.small_divisor_count_sieve(300, v)
+    counts = kpy.small_divisor_count_sieve(kpy.tau_sieve(300), v)
     for n in range(1, 301):
         brute = sum(1 for d in range(1, n + 1) if n % d == 0 and d <= n**v + 1e-12)
         # the kernel resolves d <= n^v exactly; the float fudge above only
@@ -57,15 +60,59 @@ def test_small_divisor_count_rational_edges():
     for d in range(1, limit + 1):
         for n in range(d, limit + 1, d):
             divisors[n].append(d)
+    tau = kpy.tau_sieve(limit)
     for j, k in [(1, 4), (1, 3), (1, 2), (3, 5), (2, 3), (3, 4), (1, 1)]:
-        counts = kpy.small_divisor_count_sieve(limit, j / k)
+        counts = kpy.small_divisor_count_sieve(tau, j / k)
         brute = [0] + [
             sum(1 for d in divisors[n] if d**k <= n**j) for n in range(1, limit + 1)
         ]
         np.testing.assert_array_equal(counts, brute, err_msg=f"v = {j}/{k}")
     np.testing.assert_array_equal(
-        kpy.small_divisor_count_sieve(limit, 1.0), kpy.tau_sieve(limit)
+        kpy.small_divisor_count_sieve(tau, 1.0), kpy.tau_sieve(limit)
     )
+
+
+def _brute_small_divisor_counts(limit, v):
+    # d <= n^v decided as the kernel does: exactly as d^k <= n^j when v is
+    # within 1e-12 of j/k with k <= 100, else by comparing float logs
+    frac = Fraction(v).limit_denominator(100)
+    exact = abs(v - frac) < 1e-12
+    counts = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for n in range(d, limit + 1, d):
+            if exact:
+                counts[n] += d**frac.denominator <= n**frac.numerator
+            else:
+                counts[n] += math.log(d) <= v * math.log(n)
+    return np.array(counts)
+
+
+@pytest.mark.parametrize(
+    "v", [0.5, 0.5 + 5e-13, 0.5 - 5e-13, 0.5 + 1e-9, 0.5 - 1e-9, 1 / 3, 2 / 3, 0.25, 1.0]
+)
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 3_000])
+def test_small_divisor_count_against_brute(limit, v):
+    # v = 1/2 and the values within 1e-12 of it take the pairing identity,
+    # 1/2 +- 1e-9 the float-log sieves on either side of it
+    tau = kpy.tau_sieve(limit)
+    np.testing.assert_array_equal(
+        kpy.small_divisor_count_sieve(tau, v), _brute_small_divisor_counts(limit, v)
+    )
+
+
+@pytest.mark.parametrize("v", [0.25, 0.5, 0.5 + 1e-9, 0.75, 1.0])
+def test_small_divisor_count_leaves_tau_alone(v):
+    tau = kpy.tau_sieve(1_000)
+    before = tau.copy()
+    counts = kpy.small_divisor_count_sieve(tau, v)
+    np.testing.assert_array_equal(tau, before)
+    counts[:] = -1  # the result owns its memory
+    np.testing.assert_array_equal(tau, before)
+
+
+def test_tau_sieve_is_int32():
+    assert kpy.tau_sieve(10).dtype == np.int32
+    assert kpy.small_divisor_count_sieve(kpy.tau_sieve(10), 0.25).dtype == np.int32
 
 
 def _le_pow(d: int, n: int, v: float) -> bool:
@@ -73,6 +120,4 @@ def _le_pow(d: int, n: int, v: float) -> bool:
     inv = 1.0 / v
     if abs(inv - round(inv)) < 1e-12:
         return d ** round(inv) <= n
-    import math
-
     return math.log(d) <= v * math.log(n)

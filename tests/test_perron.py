@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from friabilis import perron
 from friabilis.arith import Factorization, factorize
 from friabilis.divdist import exact_law, moments, nudge_off_atom
 from friabilis.errors import DomainError
@@ -223,6 +224,21 @@ def test_perron_guards():
     z_hit = (log(3) - 0.5 * f6.log_n) / moments(f6).sigma
     with pytest.raises(DomainError):
         perron_tail_quadrature(f6, z_hit)
+
+
+def test_perron_workspace_reuse_is_exact(monkeypatch):
+    # each call returns exactly what it returns on an empty workspace, after
+    # calls on other grids have grown it and left their nodes in it
+    f = factorize(720720)
+    grids = [(200.0, 2_000), (200.0, 200_000), (200.0, 20_000), (200.0, 200_000)]
+    fresh = []
+    for T, steps in grids:
+        monkeypatch.setattr(perron, "_workspace", np.empty((3, 0), dtype=np.complex128))
+        fresh.append(perron_tail_quadrature(f, 0.5, T=T, steps=steps))
+    monkeypatch.setattr(perron, "_workspace", np.empty((3, 0), dtype=np.complex128))
+    reused = [perron_tail_quadrature(f, 0.5, T=T, steps=steps) for T, steps in grids]
+    assert reused == fresh
+    assert perron._workspace.shape[1] >= 16_384  # grown once, then kept
 
 
 def oracle_perron_quadrature(f, beta: float, t: float, T: float, steps: int) -> float:
