@@ -6,9 +6,10 @@ two independent methods.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt, log
+from math import inf, isqrt, log
 from typing import Iterator
 
 import numpy as np
@@ -352,9 +353,9 @@ def psi_exact(x, y, *, limit: int = ENUM_CEILING) -> int:
     """|S(x, y)| by explicit enumeration (depth-first product walk).
 
     Every smooth integer is visited once; no counting identities are used,
-    which keeps this independent of psi_recursive.  When the count passes
-    `limit` it raises ResourceLimitError, before walking at all if
-    _psi_floor already does.
+    which keeps the count independent of psi_recursive.  When the count
+    passes `limit` it raises ResourceLimitError, before walking at all if
+    _psi_floor or psi_recursive's recursion, stopped past `limit`, does.
     """
     x = int(x)
     y = int(y)
@@ -364,12 +365,14 @@ def psi_exact(x, y, *, limit: int = ENUM_CEILING) -> int:
         return 1
     primes = sieve_primes(min(x, y))
     floor = _psi_floor(x, primes)
+    primes = primes.tolist()
+    if floor <= limit:  # the floor is weak at small y: count up to the budget
+        floor = min(_psi_count(x, primes, stop=limit + 1), limit + 1)
     if floor > limit:
         raise ResourceLimitError(
             f"enumeration of S({x}, {y}) exceeds ceiling {limit}: "
             f"it has at least {floor} elements"
         )
-    primes = primes.tolist()
     total = 0
     stack = [(x, 0)]
     while stack:
@@ -397,13 +400,18 @@ def psi_recursive(x, y) -> int:
         return 0
     if y < 2:
         return 1
-    primes = sieve_primes(min(x, y)).tolist()
+    return _psi_count(x, sieve_primes(min(x, y)).tolist())
+
+
+def _psi_count(x: int, primes: list[int], stop: float = inf) -> int:
+    """psi_recursive's count over the primes <= min(x, y).  A running total
+    that reaches `stop` is returned at once, unmemoized: a floor >= stop."""
     memo: dict[tuple[int, int], int] = {}
 
     def rec(bound: int, k: int) -> int:
         # number of integers <= bound composed of the first k primes
-        while k > 0 and primes[k - 1] > bound:
-            k -= 1
+        if k and primes[k - 1] > bound:
+            k = bisect_right(primes, bound, 0, k)
         if k == 0:
             return 1 if bound >= 1 else 0
         key = (bound, k)
@@ -413,6 +421,8 @@ def psi_recursive(x, y) -> int:
         total = 1
         for j in range(k):
             total += rec(bound // primes[j], j + 1)
+            if total >= stop:
+                return total
         if len(memo) >= MEMO_CEILING:
             raise ResourceLimitError(f"memo table exceeds ceiling {MEMO_CEILING}")
         memo[key] = total

@@ -120,7 +120,7 @@ def dickman_rho(u, table: RhoTable | None = None) -> float:
     return max(table.interpolate(u), 0.0)
 
 
-def psi_dickman_estimate(x, y, table: RhoTable | None = None) -> float:
+def psi_dickman_estimate(x, y) -> float:
     """Dickman leading-order estimate x * rho(log x / log y) of |S(x, y)|."""
     x = float(x)
     y = float(y)
@@ -129,4 +129,4 @@ def psi_dickman_estimate(x, y, table: RhoTable | None = None) -> float:
     if y < 2:
         raise DomainError("y must be >= 2")
     u = log(x) / log(y)
-    return x * dickman_rho(u, table)
+    return x * dickman_rho(u)

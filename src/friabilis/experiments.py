@@ -99,8 +99,8 @@ class CltRunConfig:
     For each n the error is weighted by w_n / (1 + z^4); errors above C are
     counted as exceptional.  n with w_n below w_min are skipped, and each z
     is only tested on n with z <= B w_n^{1/4} (B is a run_clt argument).
-    When more than sample_cap smooth n are in range, a seed-determined
-    uniform sample of exactly sample_cap of them is used instead.
+    When more than sample_cap n > 1 are in range, random.Random(seed).sample
+    draws sample_cap of their ranks, uniformly, in the ascending table.
     """
 
     x: int
@@ -136,36 +136,17 @@ class CltRow:
     nudged: int
 
 
-def _reservoir(stream, cap: int, seed: int):
-    """Uniform sample of cap items from a stream of unknown length.
-
-    Returns (selected, total).  Classic reservoir replacement; the RNG is
-    local to the call so identical (stream, cap, seed) give identical
-    samples.
-    """
-    rng = random.Random(seed)
-    selected = []
-    total = 0
-    for item in stream:
-        total += 1
-        if len(selected) < cap:
-            selected.append(item)
-        else:
-            j = rng.randrange(total)
-            if j < cap:
-                selected[j] = item
-    return selected, total
-
-
 def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
     """Gaussian tail quality across S(x, y), one output row per z."""
     if not B > 0:
         raise ConfigError("B must be positive")
     table = smooth_table(config.x, config.y)
-    # the reservoir depends only on positions in the stream of n > 1, so
-    # replaying it over indices selects the same n; row 0 is n = 1
-    selected, total = _reservoir(range(len(table) - 1), config.sample_cap, config.seed)
-    picked = np.sort(np.array(selected, dtype=np.int64)) + 1
+    ranks = range(1, len(table))  # row i > 0 is the i-th n > 1; row 0 is n = 1
+    total = len(ranks)
+    sampled = total > config.sample_cap
+    if sampled:
+        ranks = sorted(random.Random(config.seed).sample(ranks, config.sample_cap))
+    picked = np.array(ranks, dtype=np.int64)
     mom = table_moments(table)
     w = mom.w[picked]
 
@@ -207,8 +188,8 @@ def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
         "seed": config.seed,
         "sample_cap": config.sample_cap,
         "psi_gt1": total,
-        "n_selected": len(selected),
-        "sampled": total > config.sample_cap,
+        "n_selected": len(ranks),
+        "sampled": sampled,
         # medians and maxima are computed exactly, not sketched
         "quantile_rank_error": 0.0,
     }

@@ -9,7 +9,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import erfc, exp, isfinite, isqrt, log, pi, sqrt
+from math import atan, erfc, exp, isfinite, isqrt, log, pi, sqrt
 
 import numpy as np
 
@@ -306,6 +306,11 @@ def perron_tail_quadrature(
     query point t, half log n + z sigma unless given (see solve_beta), must
     not be an atom.
 
+    The panels integrate Re((V - v0)/s), with V = tau Z(s) e^{-ts} and v0
+    its real value at s = beta, and the pole term v0 atan(T / beta) is added
+    in closed form: V' = 0 there, so the remainder is smooth at Im s = 0
+    even where beta is far below the panel width and 1/s peaks too sharply.
+
     The node exponentials are separable tables.  The nodes of panel
     k = start + B a + b sit at Im s = h (k + q_j), with panel width h and
     Gauss offsets q_j, so every factor e^{cs} of the integrand (p^s for
@@ -357,6 +362,7 @@ def perron_tail_quadrature(
             stacklevel=2,
         )
 
+    v0 = _geometric_product(f, (p**beta for p, _ in f.factors)) * exp(-t * beta)
     total = 0.0
     panels = max(1, _CHUNK // 4)
     cs = [log(p) for p, _ in f.factors] + [-t]  # e^{cs}: p^s for each prime, e^{-ts}
@@ -396,15 +402,16 @@ def perron_tail_quadrature(
                 V *= A
         V *= np.multiply(row_tabs[-1], cols[-1], out=W)
         np.add(row_u[:, None], col_u, out=U)
-        # Re(vals / s) with s = beta + i u, cutting the last row at the chunk
+        # Re((vals - v0) / s) with s = beta + i u, cutting the last row at the chunk
         v, uu = vals[: 4 * m], u[: 4 * m]
-        re = np.multiply(v.real, beta, out=num[: 4 * m])
+        re = np.subtract(v.real, v0, out=num[: 4 * m])
+        re *= beta
         re += np.multiply(v.imag, uu, out=den[: 4 * m])
         sq = np.multiply(uu, uu, out=den[: 4 * m])
         sq += beta * beta
         re /= sq
         total += float((re.reshape(m, 4) @ _GL_W).sum())
-    return 0.5 * panel * total / (pi * f.tau)
+    return (0.5 * panel * total + v0 * atan(T / beta)) / (pi * f.tau)
 
 
 @dataclass(frozen=True)

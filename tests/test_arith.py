@@ -13,6 +13,7 @@ from friabilis.arith import (
     SIEVE_CEILING,
     Factorization,
     SmoothSet,
+    _psi_count,
     _psi_floor,
     enumerate_smooth,
     factorize,
@@ -293,6 +294,26 @@ def test_psi_exact_refuses_before_walking():
     assert floor > 3 * 10**9
     with pytest.raises(ResourceLimitError, match=str(floor)):
         psi_exact(10**12, 10**6, limit=5_000_000)
+
+
+def test_capped_recursion_is_a_floor():
+    # stopped at any stop <= Psi it returns a floor >= stop; past Psi it
+    # runs to the end and returns Psi itself
+    for x, y in [(1, 5), (30, 7), (1000, 10), (10**6, 97), (3000, 3000)]:
+        primes = sieve_primes(min(x, y)).tolist()
+        psi = psi_recursive(x, y)
+        for stop in {1, 2, psi // 3 + 1, psi - 1, psi} & set(range(1, psi + 1)):
+            assert stop <= _psi_count(x, primes, stop=stop) <= psi, (x, y, stop)
+        assert _psi_count(x, primes, stop=psi + 1) == psi
+
+
+@pytest.mark.parametrize("x,y", [(10**15, 100), (10**12, 1000)])
+def test_psi_exact_refuses_past_a_weak_floor(x, y):
+    # the floor counts only n with at most two prime factors (351 and 14,365
+    # here), so the early refusal comes from the capped recursion
+    assert _psi_floor(x, sieve_primes(y)) < 5_000_000
+    with pytest.raises(ResourceLimitError, match="at least 5000001 elements"):
+        psi_exact(x, y, limit=5_000_000)
 
 
 @given(

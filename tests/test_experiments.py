@@ -3,6 +3,7 @@ statistical sanity of each run kind at desk scale."""
 
 import json
 import math
+import random
 from fractions import Fraction
 from math import exp
 
@@ -30,7 +31,6 @@ from friabilis.experiments import (
     ConcentrationRow,
     ConcentrationRunConfig,
     RunResult,
-    _reservoir,
     arcsine_check,
     run_average,
     run_clt,
@@ -95,8 +95,8 @@ def test_clt_z_cap_and_w_min():
 
 
 def test_clt_sampled_matches_full():
-    # the reservoir estimate of an exceedance fraction sits within 3 standard
-    # errors of the full-enumeration value
+    # the exceedance fraction over cap uniformly drawn row ranks sits within
+    # 3 standard errors of the full-enumeration value
     x, y = 10**5, 30
     full = run_clt(CltRunConfig(x=x, y=y, z_grid=(0.5,), C=10.0))
     m_full = full.rows[0].median_normalized_error
@@ -313,9 +313,13 @@ def test_json_payload_shape():
 
 
 def oracle_clt(config: CltRunConfig, B: float = 1.0) -> RunResult:
-    stream = (f for f in enumerate_smooth(config.x, config.y) if f.n > 1)
-    selected, total = _reservoir(stream, config.sample_cap, config.seed)
-    selected.sort(key=lambda f: f.n)
+    selected = [f for f in enumerate_smooth(config.x, config.y) if f.n > 1]
+    total = len(selected)
+    if total > config.sample_cap:
+        # sample() picks positions alone, so any population of this length
+        # gets the same ones
+        picks = random.Random(config.seed).sample(range(total), config.sample_cap)
+        selected = sorted((selected[i] for i in picks), key=lambda f: f.n)
     zs = config.z_grid
     errors = [[] for _ in zs]
     exceptional = [0] * len(zs)
@@ -484,8 +488,22 @@ def test_average_matches_per_n_oracle(config, tmp_path):
         (CltRunConfig(x=3000, y=5000, z_grid=(0.0, 0.5), sample_cap=700, seed=2), 1.0),
         (CltRunConfig(x=10**5, y=1613, z_grid=(0.0, 1.0), sample_cap=5000, seed=3), 1.0),
         (CltRunConfig(x=10**5, y=1619, z_grid=(0.0, 1.0), sample_cap=5000, seed=3), 1.0),
+        # Psi(1e5, 30) - 1 = 5,157 n > 1: a cap of exactly that takes them
+        # all, and one less draws a sample
+        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), sample_cap=5157, seed=4), 1.0),
+        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), sample_cap=5156, seed=4), 1.0),
     ],
-    ids=["full", "w_min-and-B", "sampled", "nothing-active", "y-above-x", "y1613", "y1619"],
+    ids=[
+        "full",
+        "w_min-and-B",
+        "sampled",
+        "nothing-active",
+        "y-above-x",
+        "y1613",
+        "y1619",
+        "cap-equals-psi",
+        "cap-below-psi",
+    ],
 )
 def test_clt_matches_per_n_oracle(config, B, tmp_path):
     assert_same_output(run_clt(config, B=B), oracle_clt(config, B=B), tmp_path)
