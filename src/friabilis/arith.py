@@ -23,7 +23,7 @@ MEMO_CEILING = 10**7  # largest admissible recursion memo table
 N_CEILING = 2**62  # divisor products must stay inside int64
 MEMORY_CEILING = 4 * 2**30  # largest admissible estimated bytes of a smooth_table
 # Bytes per row of S(x, y) that smooth_table's estimate charges.  The build
-# alone peaked at 107 (tracemalloc: 314 MB for the 2,944,730 rows of
+# alone peaked at 66 (tracemalloc: 194 MB for the 2,944,730 rows of
 # S(1e9, 100)); a whole `average` run, the heaviest caller, at 181 (peak
 # RSS 1,590 MB for the 8,800,084 rows of S(1e10, 100)).  The larger, rounded
 # up: at this rate S(1e10, 100) needs 1.7 GB and S(1e11, 100), 24.9M rows,
@@ -216,17 +216,17 @@ def smooth_table(x, y) -> SmoothTable:
     ResourceLimitError.
 
     Rows grow from n = 1 one prime at a time, in ascending order, so a new
-    factor always lands in the next free slot.  A prime p <= sqrt(x) gives
-    every row with n p^k <= x a child n p^k; the rows with n <= x / p are
-    kept as a live index, which each prime filters and extends with its
-    children, so no step rescans the whole table.  A prime p > sqrt(x)
-    divides n at most once and as its largest prime, so its children are
-    p times the rows up to x / p, a prefix of the rows sorted by n.  Each
-    child records its parent row and the basis index and exponent of its
-    last factor; the slot matrices are read back along those links at the
-    end.  The row count, and the bytes estimated from it at ROW_BYTES a row,
-    are checked against ENUM_CEILING and MEMORY_CEILING before each step
-    allocates its rows.
+    factor always lands in the next free slot, and each row is complete
+    when it is made: a copy of its parent's row with one slot written.  The
+    slot width, the most primes any n <= x can have, is known up front.  A
+    prime p <= sqrt(x) gives every row with n p^k <= x a child n p^k.  Only
+    the live rows, those with n <= x / p, can take p or a later prime; each
+    prime filters them and adds its children, so no step rescans the whole
+    table.  A prime p > sqrt(x) divides n at most once and as its largest
+    prime, so its children are p times the live rows up to x / p, a prefix
+    of them sorted by n.  The row count, and the bytes estimated from it at
+    ROW_BYTES a row, are checked against ENUM_CEILING and MEMORY_CEILING
+    before each step allocates its rows.
     """
     x = int(x)
     y = int(y)
@@ -247,65 +247,63 @@ def smooth_table(x, y) -> SmoothTable:
                 f"{size * ROW_BYTES} bytes, past the memory ceiling {MEMORY_CEILING}"
             )
 
-    n = np.ones(1, dtype=np.int64)
-    omega = np.zeros(1, dtype=np.int8)
-    parents = [np.full(1, -1, dtype=np.int64)]
-    last_i = [np.full(1, len(basis), dtype=slot_type)]
-    last_e = [np.zeros(1, dtype=np.int8)]
-    live = np.zeros(1, dtype=np.int64)
+    def take(rows, keep):
+        return tuple(c[keep] for c in rows)
+
+    def times(rows, i, k, pk):  # i and pk may hold one value per row
+        n, omega, slots, exps = rows
+        slots, exps = slots.copy(), exps.copy()
+        at = np.arange(len(n)), omega
+        slots[at] = i
+        exps[at] = k
+        return n * pk, omega + 1, slots, exps
+
+    width, product = 0, 1  # the most primes of any n <= x: the first ones
+    for p in basis.tolist():
+        product *= p
+        if product > x:
+            break
+        width += 1
+    width = max(width, 1)  # n = 1 keeps one padding slot
+    # a row is (n, omega, slots, exps); live holds the rows with n <= x / p
+    live = (
+        np.ones(1, dtype=np.int64),
+        np.zeros(1, dtype=np.int8),
+        np.full((1, width), len(basis), dtype=slot_type),
+        np.zeros((1, width), dtype=np.int8),
+    )
+    blocks = [live]
+    size = 1
     small = int(np.searchsorted(basis, root, side="right"))
     for i, p in enumerate(basis[:small].tolist()):
-        live = live[n[live] <= x // p]
-        new_n = [n]
-        new_omega = [omega]
-        size = len(n)
-        sel = live
-        pk, k = p, 1
-        while sel.size:
-            size += sel.size
+        live = take(live, live[0] <= x // p)
+        grown, rows, pk, k = [live], live, p, 1
+        while len(rows[0]):
+            size += len(rows[0])
             check(size)
-            new_n.append(n[sel] * pk)
-            new_omega.append(omega[sel] + 1)
-            parents.append(sel)
-            last_i.append(np.full(sel.size, i, dtype=slot_type))
-            last_e.append(np.full(sel.size, k, dtype=np.int8))
+            grown.append(times(rows, i, k, pk))
             pk *= p
             k += 1
-            sel = sel[n[sel] <= x // pk]
-        live = np.concatenate([live, np.arange(len(n), size)])
-        n = np.concatenate(new_n)
-        omega = np.concatenate(new_omega)
+            rows = take(rows, rows[0] <= x // pk)
+        blocks += grown[1:]
+        live = tuple(np.concatenate(c) for c in zip(*grown))
 
     if small < len(basis):
         large = basis[small:]
-        order = np.argsort(n)
-        counts = np.searchsorted(n[order], x // large, side="right")
+        order = np.argsort(live[0])
+        counts = np.searchsorted(live[0][order], x // large, side="right")
         total = int(counts.sum())
-        check(len(n) + total)
+        check(size + total)
         starts = np.cumsum(counts) - counts
         par = order[np.arange(total) - np.repeat(starts, counts)]
-        n = np.concatenate([n, n[par] * np.repeat(large, counts)])
-        omega = np.concatenate([omega, omega[par] + 1])
-        parents.append(par)
-        last_i.append(np.repeat(np.arange(small, len(basis), dtype=slot_type), counts))
-        last_e.append(np.ones(total, dtype=np.int8))
+        index = np.repeat(np.arange(small, len(basis), dtype=slot_type), counts)
+        blocks.append(times(take(live, par), index, 1, np.repeat(large, counts)))
 
-    parent = np.concatenate(parents)
-    i_last = np.concatenate(last_i)
-    e_last = np.concatenate(last_e)
-    width = max(int(omega.max()), 1)  # every row has a last slot, padding for n = 1
-    slots = np.full((len(n), width), len(basis), dtype=slot_type)
-    exps = np.zeros((len(n), width), dtype=np.int8)
-    rows = np.flatnonzero(omega)
-    cur = rows
-    slot = omega[rows].astype(np.int64) - 1
-    while rows.size:
-        slots[rows, slot] = i_last[cur]
-        exps[rows, slot] = e_last[cur]
-        cur = parent[cur]
-        slot -= 1
-        keep = slot >= 0
-        rows, cur, slot = rows[keep], cur[keep], slot[keep]
+    # freed before the sort copies the columns: at S(1e9, 100) the traced
+    # peak falls from 95 to 66 bytes a row
+    del live
+    n, _, slots, exps = (np.concatenate(c) for c in zip(*blocks))
+    del blocks
     order = np.argsort(n)
     return SmoothTable(n=n[order], slots=slots[order], exps=exps[order], basis=basis)
 

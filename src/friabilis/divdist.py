@@ -198,45 +198,45 @@ class MomentColumns:
         return np.sqrt(self.m2)
 
 
-def _term_index(table: SmoothTable, j: int, width: int) -> np.ndarray:
+def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.ndarray:
     """slots[:, j] * width + exps[:, j]: each row's (basis index, exponent)
     in slot column j, as a flat index into a table of width exponents per
     basis index.  The slots are widened first; uint8 * width would wrap."""
-    index = table.slots[:, j].astype(np.intp)
+    index = slots[:, j].astype(np.intp)
     index *= width
-    index += table.exps[:, j]
+    index += exps[:, j]
     return index
 
 
-def table_moments(table: SmoothTable) -> MomentColumns:
-    """log n and moments() (less tau and t_max) for every row, one slot
-    column at a time.
+def table_moments(table: SmoothTable, rows) -> MomentColumns:
+    """log n and moments() (less tau and t_max) for the given rows (an
+    index array or a slice), in their order, one slot column at a time.
 
     Each term of the per-n loop is computed once per (basis index,
     exponent), by the same IEEE operations, and gathered per slot column.
     Padding slots (log p = 0.0, e = 0) add exactly 0.0 to each sum, so
     summing all columns from 0 repeats the per-n loop over the real factors.
     """
+    slots, exps = table.slots[rows], table.exps[rows]
     lp = _prime_logs(table)[:, None]
     lp2 = lp * lp
-    width = int(table.exps.max(initial=0)) + 1
+    width = int(exps.max(initial=0)) + 1
     e = np.arange(width, dtype=np.int64)
     terms = (
         (e * lp).ravel(),
         (e * (e + 2) * lp2).ravel(),
         (e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2).ravel(),
     )
-    rows = len(table)
-    sums = np.zeros((len(terms), rows))
-    for j in range(table.exps.shape[1]):
-        index = _term_index(table, j, width)
+    sums = np.zeros((len(terms), len(exps)))
+    for j in range(exps.shape[1]):
+        index = _term_index(slots, exps, j, width)
         for total, term in zip(sums, terms):
             total += term[index]
     log_n, m2, m4 = sums
     m2 /= 12.0
     m4 /= 240.0
-    w = np.ones(rows)
-    factored = np.count_nonzero(table.exps, axis=1) > 0
+    w = np.ones(len(exps))
+    factored = np.count_nonzero(exps, axis=1) > 0
     w[factored] = m2[factored] * m2[factored] / m4[factored]
     return MomentColumns(log_n=log_n, m2=m2, m4=m4, w=w)
 
@@ -253,7 +253,7 @@ def table_additive_fk(table: SmoothTable, k: int) -> np.ndarray:
     width = int(table.exps.max(initial=0)) + 1
     present = np.zeros(len(logs) * width, dtype=bool)
     for j in range(table.exps.shape[1]):
-        present[_term_index(table, j, width)] = True
+        present[_term_index(table.slots, table.exps, j, width)] = True
     pairs = np.flatnonzero(present)
     power = np.zeros(len(present))
     power[pairs] = [
@@ -261,7 +261,7 @@ def table_additive_fk(table: SmoothTable, k: int) -> np.ndarray:
     ]
     fk = np.zeros(len(table))
     for j in range(table.exps.shape[1]):
-        fk += power[_term_index(table, j, width)]
+        fk += power[_term_index(table.slots, table.exps, j, width)]
     return fk
 
 

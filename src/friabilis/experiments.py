@@ -147,8 +147,8 @@ def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
     if sampled:
         ranks = sorted(random.Random(config.seed).sample(ranks, config.sample_cap))
     picked = np.array(ranks, dtype=np.int64)
-    mom = table_moments(table)
-    w = mom.w[picked]
+    mom = table_moments(table, picked)
+    w = mom.w
 
     zs = config.z_grid
     z_col = np.array(zs)
@@ -156,7 +156,7 @@ def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
     active = (z_col[None, :] <= z_cap[:, None]) & (w >= config.w_min)[:, None]
     tested = active.any(axis=1)  # only these n need their divisor law
     picked, w, active = picked[tested], w[tested], active[tested]
-    t = 0.5 * mom.log_n[picked][:, None] + z_col[None, :] * mom.sigma[picked][:, None]
+    t = 0.5 * mom.log_n[tested][:, None] + z_col[None, :] * mom.sigma[tested][:, None]
     tails, nudged = table_upper_tails(table, picked, np.where(active, t, np.nan))
 
     rows = []
@@ -250,7 +250,7 @@ def run_average(config: AverageRunConfig) -> RunResult:
     zs = config.z_grid
     table = smooth_table(config.x, config.y)
     count = len(table)
-    mom = table_moments(table)
+    mom = table_moments(table, slice(None))
     t = 0.5 * mom.log_n[:, None] + np.array(zs)[None, :] * sigma_bar
     tails, nudged = table_upper_tails(table, np.arange(count), t)
     # cumsum adds in n order, one term at a time, as a running total would
@@ -347,7 +347,7 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
         k: table_additive_fk(table, k) / model_means[k] for k in config.k_list
     }
     # row 0 is n = 1, which has no spread
-    sigma_ratios = table_moments(table).sigma[1:] / sigma_bar
+    sigma_ratios = table_moments(table, slice(1, None)).sigma / sigma_bar
 
     rows = []
     for k in config.k_list:

@@ -17,7 +17,6 @@ from friabilis.errors import ConvergenceError, DomainError
 
 ALPHA_TOL = 1e-12
 _BISECT_STEPS = 60
-_NEWTON_STEPS = 8
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -37,14 +36,10 @@ def zeta_partial_log(s, y) -> float:
     return -kernels.kahan_sum(np.log1p(-np.exp(-s * lp)))
 
 
-def _tilt_residual(alpha: float, lp: np.ndarray, log_x: float) -> float:
-    # sum log p / (p^alpha - 1) - log x, strictly decreasing in alpha
-    return kernels.kahan_sum(lp / np.expm1(alpha * lp)) - log_x
-
-
 def _tilt_side(alpha: float, lp: np.ndarray, log_x: float, target: float) -> int:
-    """Where _tilt_residual(alpha) lies: 1 above target, -1 below -target,
-    0 within target of zero.
+    """Where the residual sum log p / (p^alpha - 1) - log x, strictly
+    decreasing in alpha, lies: 1 above target, -1 below -target, 0 within
+    target of zero.
 
     The answer is always the correctly rounded residual's.  The terms are
     positive, so np.sum is within len * eps * sum of their exact sum; the
@@ -93,9 +88,8 @@ def solve_alpha(x, y) -> float:
     """The unique positive root of sum over p <= y of log p/(p^alpha - 1)
     = log x.
 
-    Bracketed bisection (doubling the upper end until the sign flips)
-    followed by Newton polish; stops once the residual drops under
-    ALPHA_TOL * log x.  Requires x >= y >= 2.
+    Bisection on [1e-6, 2], stopping once the residual is within
+    ALPHA_TOL * log x of zero.  Requires x >= y >= 2.
     """
     x = float(x)
     y = int(y)
@@ -107,18 +101,12 @@ def solve_alpha(x, y) -> float:
     log_x = log(x)
     target = ALPHA_TOL * log_x
 
+    # At alpha = 2 the sum over every prime is -zeta'(2)/zeta(2) = 0.5700
+    # < log 2 <= log x, so hi = 2 always brackets the root; 60 halvings
+    # reach one ulp of alpha, where the residual is far under the target.
     lo, hi = 1e-6, 2.0
     if _tilt_side(lo, lp, log_x, 0.0) < 0:
         raise ConvergenceError("residual negative at the bracket floor")
-    for _ in range(64):
-        if _tilt_side(hi, lp, log_x, 0.0) < 0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the tilt")
-
-    alpha = 0.5 * (lo + hi)
     for _ in range(_BISECT_STEPS):
         alpha = 0.5 * (lo + hi)
         side = _tilt_side(alpha, lp, log_x, target)
@@ -128,16 +116,7 @@ def solve_alpha(x, y) -> float:
             lo = alpha
         else:
             hi = alpha
-
-    for _ in range(_NEWTON_STEPS):
-        r = _tilt_residual(alpha, lp, log_x)
-        if abs(r) <= target:
-            break
-        step = r / sigma2_star(alpha, y)  # residual' = -sigma2_star
-        alpha += step
-        if not lo <= alpha <= hi:
-            alpha = 0.5 * (lo + hi)
-    return alpha
+    raise ConvergenceError(f"alpha solve did not reach tolerance {target}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Factorization, smooth enumeration, and Psi counting against brute-force
 oracles that share no code with the implementations under test."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from friabilis.arith import (
     ENUM_CEILING,
+    ROW_BYTES,
     SIEVE_CEILING,
     Factorization,
     SmoothSet,
@@ -238,6 +241,69 @@ def test_smooth_table_slots_at_the_uint8_edge(y, size, dtype):
     assert len(table) == psi_recursive(x, y)
     want = [factorize(n) for n in table.n.tolist()]
     assert list(table.factorizations()) == want
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [(1, 2), (2, 2), (3, 3), (4, 2), (9, 3), (25, 5), (49, 7)]
+    + [(30, 5), (210, 7), (2310, 11), (30030, 13)]  # primorials: the widest rows
+    + [(2309, 11), (1000, 10**4), (5000, 97), (3 * 10**4, 1619)],
+)
+def test_smooth_table_matches_brute_factorizations(x, y):
+    basis = sieve_primes(min(x, y)).tolist()
+    index = {p: i for i, p in enumerate(basis)}
+    rows = [(n, brute_factor(n)) for n in range(1, x + 1)]
+    rows = [(n, f) for n, f in rows if all(p <= y for p, _ in f)]
+    width = max(1, max(len(f) for _, f in rows))  # n = 1 keeps one padding slot
+    slots = np.full((len(rows), width), len(basis))
+    exps = np.zeros((len(rows), width))
+    for r, (_, f) in enumerate(rows):
+        for j, (p, e) in enumerate(f):
+            slots[r, j] = index[p]
+            exps[r, j] = e
+    table = smooth_table(x, y)
+    assert table.basis.tolist() == basis
+    assert table.n.dtype == np.int64
+    assert table.n.tolist() == [n for n, _ in rows]
+    assert table.slots.dtype == np.min_scalar_type(len(basis))
+    assert table.exps.dtype == np.int8
+    assert table.slots.shape == table.exps.shape == (len(rows), width)
+    assert np.array_equal(table.slots, slots)
+    assert np.array_equal(table.exps, exps)
+
+
+@pytest.mark.parametrize(
+    "x,y,rows,dtype,width,digest",
+    [
+        (10**8, 30, 88_415, np.uint8, 8,
+         "40e39a9baf8ae58ac5c01b723f0556989038b95a9b0a73a5ce6e35678c194975"),
+        (10**7, 100, 269_882, np.uint8, 8,
+         "26ba2fcf388585ae20022b9814709f81747a6d8bc8c817ff1e8af8a7d939322a"),
+        (3 * 10**4, 1619, 21_414, np.uint16, 5,
+         "dafb5141de6a44fc86efdacb4482367f376cebf2957aba50f31883d5ad609e67"),
+        (10**4, 10**5, 10_000, np.uint16, 5,
+         "c64ee95691894332b3682e0c2362cc745343d25266ade8be3611cb59f2d2f1cc"),
+    ],
+)
+def test_smooth_table_bytes_are_pinned(x, y, rows, dtype, width, digest):
+    # SHA-256 of the bytes of n, slots, exps and basis, in that order
+    table = smooth_table(x, y)
+    assert len(table) == rows
+    assert table.slots.dtype == dtype and table.slots.shape[1] == width
+    columns = (table.n, table.slots, table.exps, table.basis)
+    assert hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest() == digest
+
+
+def test_smooth_table_build_peak_within_row_bytes():
+    # the memory ceiling charges ROW_BYTES a row; the build alone must fit
+    sieve_primes(100)
+    tracemalloc.start()
+    try:
+        table = smooth_table(10**7, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(table) * ROW_BYTES
 
 
 def test_enumeration_is_sorted_unique():

@@ -200,10 +200,10 @@ def tail_queries(table, rows, seed):
     random atom, one planted 1.5 MERGE_TOL above a random atom, and a NaN
     scattered over a tenth of the entries."""
     rng = np.random.default_rng(seed)
-    mom = table_moments(table)
+    mom = table_moments(table, rows)
     z = rng.uniform(-1.5, 1.5, (len(rows), 5))
-    t = 0.5 * mom.log_n[rows][:, None] + z * mom.sigma[rows][:, None]
-    t[:, 0] = 0.5 * mom.log_n[rows]
+    t = 0.5 * mom.log_n[:, None] + z * mom.sigma[:, None]
+    t[:, 0] = 0.5 * mom.log_n
     for a, row in enumerate(rows.tolist()):
         values = exact_law(factorize(int(table.n[row]))).values
         t[a, 3] = values[rng.integers(len(values))]
@@ -329,13 +329,23 @@ def test_table_terms_match_per_n(x, y, slot_dtype, top):
     # the slots are uint8 and 2**26 makes width 27
     table = smooth_table(x, y)
     assert table.slots.dtype == slot_dtype and table.exps.max() == top
-    mom = table_moments(table)
+    mom = table_moments(table, slice(None))
     fk = [table_additive_fk(table, k) for k in range(9)]
     for i, f in enumerate(table.factorizations()):
         want = moments(f)
         got = (mom.log_n[i], mom.m2[i], mom.m4[i], mom.w[i])
         assert got == (f.log_n, want.m2, want.m4, want.w), f.n
         assert [c[i] for c in fk] == [additive_fk(f, k) for k in range(9)], f.n
+
+
+def test_table_moments_of_some_rows_are_those_of_all_rows():
+    table = smooth_table(10**5, 30)
+    full = table_moments(table, slice(None))
+    rows = np.random.default_rng(5).choice(len(table), 500, replace=False)
+    for picked in (rows, slice(1, None), np.arange(0)):
+        part = table_moments(table, picked)
+        for name in ("log_n", "m2", "m4", "w"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[picked])
 
 
 def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):

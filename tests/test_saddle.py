@@ -81,10 +81,18 @@ def oracle_alpha_fsum_every_step(x, y) -> float:
     "x, y",
     [(2, 2), (4, 2), (10**6, 2), (7, 7), (1000, 1000), (10**5, 10**5)]
     + GRID
-    + [(10**8, 30), (10**12, 10**6)],
+    + [(10**8, 30), (10**12, 10**6), (10**300, 2), (10**300, 10**6)],
 )
 def test_alpha_bit_identical_to_fsum_every_step(x, y):
     assert solve_alpha(x, y) == oracle_alpha_fsum_every_step(x, y)
+
+
+def test_alpha_two_brackets_the_root():
+    # solve_alpha bisects on [1e-6, 2]: the residual at alpha = 2 must be
+    # negative for every x >= y >= 2, so the sum there stays below log 2
+    # (over all primes it tends to -zeta'(2)/zeta(2) = 0.5700)
+    lp = np.log(sieve_primes(10**6).astype(np.float64))
+    assert math.fsum((lp / np.expm1(2.0 * lp)).tolist()) < math.log(2)
 
 
 def test_make_context_sums_exactly_only_near_the_root(monkeypatch):
