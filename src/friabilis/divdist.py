@@ -3,12 +3,12 @@ moments, the full atom list by convolution over prime powers, tail queries
 with a closed >= convention, and the additive statistics the averaged model
 predicts.
 
-Each per-n function has a columnar counterpart over a SmoothTable
-(table_moments, table_additive_fk, table_upper_tails) that returns, row by
-row, the same floats bit for bit.  table_moments and table_additive_fk
-perform the same IEEE operations in the same order and take log p from
-math.log, as the per-n code does, through one term per (prime, exponent)
-gathered once per slot column.  table_upper_tails counts the divisors of
+Over a SmoothTable, table_moments (for moments, log n and additive_fk)
+and table_upper_tails return, row by row, the same floats as the per-n
+functions, bit for bit.  table_moments performs the same IEEE operations
+in the same order and takes log p from math.log, as the per-n code does,
+through one term per (prime, exponent) for every statistic, all gathered
+in one pass over the slot columns.  table_upper_tails counts the divisors of
 n = m P^e (P its largest prime) from the log d of its stem m shifted by
 i log P.  Every query that a shifted threshold puts within 2 MERGE_TOL of
 a stem atom is answered again from the full sorted log-divisors of n,
@@ -185,17 +185,24 @@ def _prime_logs(table: SmoothTable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentColumns:
-    """log n and the moments m2, m4, w of every row of a SmoothTable, equal
-    bit for bit to Factorization.log_n and moments() row by row."""
+    """log n, the moments m2, m4, w and f_k for each k asked of every row
+    of a SmoothTable, equal bit for bit to Factorization.log_n, moments()
+    and additive_fk() row by row."""
 
     log_n: np.ndarray
     m2: np.ndarray
     m4: np.ndarray
-    w: np.ndarray
+    fk: dict[int, np.ndarray]
 
     @property
     def sigma(self) -> np.ndarray:
         return np.sqrt(self.m2)
+
+    @property
+    def w(self) -> np.ndarray:
+        """m2 * m2 / m4 where m4 > 0, exactly the rows with a factor; else 1."""
+        m4 = self.m4
+        return np.divide(self.m2 * self.m2, m4, out=np.ones(len(m4)), where=m4 > 0)
 
 
 def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.ndarray:
@@ -208,61 +215,52 @@ def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.n
     return index
 
 
-def table_moments(table: SmoothTable, rows) -> MomentColumns:
-    """log n and moments() (less tau and t_max) for the given rows (an
-    index array or a slice), in their order, one slot column at a time.
+def table_moments(table: SmoothTable, rows, fk=()) -> MomentColumns:
+    """log n, moments() (less tau and t_max) and additive_fk(f, k) for each
+    k in fk, for the given rows (an index array or a slice), in their order,
+    in one pass over the slot columns.
 
-    Each term of the per-n loop is computed once per (basis index,
-    exponent), by the same IEEE operations, and gathered per slot column.
-    Padding slots (log p = 0.0, e = 0) add exactly 0.0 to each sum, so
-    summing all columns from 0 repeats the per-n loop over the real factors.
+    Each term of the per-n loops is computed once per (basis index,
+    exponent), by the same IEEE operations, and each column's flat index
+    gathers it into every sum.  f_k terms are raised by Python's float pow,
+    as additive_fk does, for each e >= 1 up to one past log_p of the
+    largest n; at k = 0 each is 1.0, so f_0 sums to omega.  Padding slots
+    (log p = 0.0, e = 0) add exactly 0.0 to each sum, so summing all
+    columns from 0 repeats the per-n loops over the real factors.
     """
+    if any(not 0 <= k <= 8 for k in fk):
+        raise DomainError("k must lie in [0, 8]")
     slots, exps = table.slots[rows], table.exps[rows]
-    lp = _prime_logs(table)[:, None]
+    logs = _prime_logs(table)
+    lp = logs[:, None]
     lp2 = lp * lp
     width = int(exps.max(initial=0)) + 1
     e = np.arange(width, dtype=np.int64)
-    terms = (
+    terms = [
         (e * lp).ravel(),
         (e * (e + 2) * lp2).ravel(),
         (e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2).ravel(),
-    )
+    ]
+    powers = sorted(set(fk))
+    top = log(int(table.n[-1]))
+    pairs = [
+        (i * width + e, e * log_p)
+        for i, log_p in enumerate(logs[:-1].tolist())
+        for e in range(1, min(int(top / log_p) + 2, width))
+    ]
+    for k in powers:
+        term = np.zeros(logs.size * width)
+        term[[i for i, _ in pairs]] = [b**k for _, b in pairs]
+        terms.append(term)
     sums = np.zeros((len(terms), len(exps)))
     for j in range(exps.shape[1]):
         index = _term_index(slots, exps, j, width)
         for total, term in zip(sums, terms):
             total += term[index]
-    log_n, m2, m4 = sums
+    log_n, m2, m4, *raised = sums
     m2 /= 12.0
     m4 /= 240.0
-    w = np.ones(len(exps))
-    factored = np.count_nonzero(exps, axis=1) > 0
-    w[factored] = m2[factored] * m2[factored] / m4[factored]
-    return MomentColumns(log_n=log_n, m2=m2, m4=m4, w=w)
-
-
-def table_additive_fk(table: SmoothTable, k: int) -> np.ndarray:
-    """additive_fk(f, k) for every row.  Each (p, e) term present is
-    raised to the k-th power by Python's float pow, as additive_fk does,
-    and gathered per slot column."""
-    if not 0 <= k <= 8:
-        raise DomainError("k must lie in [0, 8]")
-    if k == 0:
-        return np.count_nonzero(table.exps, axis=1).astype(np.float64)
-    logs = _prime_logs(table).tolist()
-    width = int(table.exps.max(initial=0)) + 1
-    present = np.zeros(len(logs) * width, dtype=bool)
-    for j in range(table.exps.shape[1]):
-        present[_term_index(table.slots, table.exps, j, width)] = True
-    pairs = np.flatnonzero(present)
-    power = np.zeros(len(present))
-    power[pairs] = [
-        (e * logs[i]) ** k for i, e in zip(*(a.tolist() for a in np.divmod(pairs, width)))
-    ]
-    fk = np.zeros(len(table))
-    for j in range(table.exps.shape[1]):
-        fk += power[_term_index(table.slots, table.exps, j, width)]
-    return fk
+    return MomentColumns(log_n=log_n, m2=m2, m4=m4, fk=dict(zip(powers, raised)))
 
 
 def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:

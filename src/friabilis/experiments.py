@@ -22,7 +22,6 @@ from friabilis._backend import BACKEND, kernels
 from friabilis.arith import smooth_table
 from friabilis.divdist import (
     model_mean_additive,
-    table_additive_fk,
     table_moments,
     table_upper_tails,
 )
@@ -337,21 +336,22 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
     One row per (k, delta).  The shape column exp(-delta^2 u_bar) is the
     reference decay profile reported alongside for comparison; no rate
     assertion is made.  The meta carries a histogram of sigma_n/sigma_bar.
+    Every f_k and sigma_n come from one table_moments pass over S(x, y).
     """
     ctx = make_context(config.x, config.y)
     sigma_bar = ctx.sigma_bar
     model_means = {k: model_mean_additive(ctx, k) for k in config.k_list}
 
     table = smooth_table(config.x, config.y)
-    fk_ratios = {
-        k: table_additive_fk(table, k) / model_means[k] for k in config.k_list
-    }
+    mom = table_moments(table, slice(None), fk=config.k_list)
     # row 0 is n = 1, which has no spread
-    sigma_ratios = table_moments(table, slice(1, None)).sigma / sigma_bar
+    sigma_ratios = mom.sigma[1:] / sigma_bar
 
     rows = []
     for k in config.k_list:
-        dev = np.abs(fk_ratios[k] - 1.0)
+        dev = mom.fk[k] / model_means[k]
+        dev -= 1.0
+        np.abs(dev, out=dev)
         for d in config.thresholds:
             rows.append(
                 ConcentrationRow(
@@ -374,7 +374,7 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
         "u_bar": ctx.u_bar,
         "sigma_bar": sigma_bar,
         "model_means": {str(k): model_means[k] for k in config.k_list},
-        "psi": len(fk_ratios[config.k_list[0]]),
+        "psi": len(table),
         "sigma_histogram": {
             "edges": [float(e) for e in edges],
             "counts": [int(c) for c in counts],

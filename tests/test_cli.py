@@ -269,37 +269,48 @@ def test_arcsine_benchmark_csv_digest(tmp_path):
     assert digest == "f5517f823747d45328166bba0bf95798daa8af9f31501d2c5413bf7c6f90506c"
 
 
+# a run that writes only its CSV prints nothing
+SILENT = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
 @pytest.mark.parametrize(
-    "argv,digest",
+    "argv,digest,stdout_digest",
     [
         (
             ["average", "--x", "100000000", "--y", "30", "--z-grid", "0,0.5,1,1.5", "--c5", "1.1"],
             "6731dc35e2451d31b6a02c2783064c25ca3ba6a1bc0c5b47b4604a077d138ec1",
+            SILENT,
         ),
         (
             ["concentration", "--x", "10000000", "--y", "100", "--k-list", "0,1,2",
              "--thresholds", "0.1,0.25,0.5", "--json"],
             "acec1e6b9bfe3bfc4450cb0897939e7f304c6bad8653fa2863fd8034b56fcda7",
+            # the model means and the sigma_n / sigma_bar histogram
+            "cd1e6c7115db6a238df7d4ae4c993a9dfa87da62ea048384e93427fee86349fa",
         ),
         (
             ["clt", "--x", "1e5", "--y", "30", "--z-grid", "0,1"],
             "e13a3c5cda1b70437ca4f83683fd6306853e5b3ffe2c4a4ff37a89ff3c5ab59a",
+            SILENT,
         ),
         (
             ["clt", "--x", "100000000", "--y", "30", "--z-grid", "0,0.5,1",
              "--sample-cap", "40000", "--seed", "31"],
             "d71dc736ca78f5e1891aec25d9fc93dc2c77234422cbc02eb3b8f5b4f8170456",
+            SILENT,
         ),
     ],
     ids=["average", "concentration", "clt-full", "clt-sampled"],
 )
-def test_benchmark_csv_digest(argv, digest, tmp_path, capsys):
+def test_benchmark_csv_digest(argv, digest, stdout_digest, tmp_path, capsys):
     # the bytes the benchmark's `tails` and `concentration` workloads write
-    # (the sampled clt at seed 31), and the full clt path at a desk size
+    # and print (the sampled clt at seed 31), and the full clt path at a
+    # desk size
     path = tmp_path / "out.csv"
     assert cli.main([*argv, "--out", str(path)]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 def test_unknown_command():

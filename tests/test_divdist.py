@@ -19,7 +19,6 @@ from friabilis.divdist import (
     model_mean_additive,
     moments,
     nudge_off_atom,
-    table_additive_fk,
     table_moments,
     table_upper_tails,
 )
@@ -321,31 +320,54 @@ def test_log_divisors_are_far_apart():
 
 @pytest.mark.parametrize(
     "x,y,slot_dtype,top",
-    [(3 * 10**4, 1619, np.uint16, 14), (10**8, 30, np.uint8, 26)],
-    ids=["S(3e4,1619)", "S(1e8,30)"],
+    [
+        (3 * 10**4, 1619, np.uint16, 14),
+        (10**8, 30, np.uint8, 26),
+        (2 * 10**4, 2 * 10**4, np.uint16, 14),
+    ],
+    ids=["S(3e4,1619)", "S(1e8,30)", "S(2e4,2e4)"],
 )
 def test_table_terms_match_per_n(x, y, slot_dtype, top):
     # the flat term index slot * width + e passes 255 at S(1e8, 30), where
-    # the slots are uint8 and 2**26 makes width 27
+    # the slots are uint8 and 2**26 makes width 27; at S(2e4, 2e4) most
+    # primes take only e = 1, so the pow bound decides which f_k terms exist
     table = smooth_table(x, y)
     assert table.slots.dtype == slot_dtype and table.exps.max() == top
-    mom = table_moments(table, slice(None))
-    fk = [table_additive_fk(table, k) for k in range(9)]
+    mom = table_moments(table, slice(None), fk=range(9))
+    assert sorted(mom.fk) == list(range(9))
     for i, f in enumerate(table.factorizations()):
         want = moments(f)
         got = (mom.log_n[i], mom.m2[i], mom.m4[i], mom.w[i])
         assert got == (f.log_n, want.m2, want.m4, want.w), f.n
-        assert [c[i] for c in fk] == [additive_fk(f, k) for k in range(9)], f.n
+        assert [mom.fk[k][i] for k in range(9)] == [additive_fk(f, k) for k in range(9)], f.n
 
 
 def test_table_moments_of_some_rows_are_those_of_all_rows():
     table = smooth_table(10**5, 30)
-    full = table_moments(table, slice(None))
+    full = table_moments(table, slice(None), fk=range(9))
     rows = np.random.default_rng(5).choice(len(table), 500, replace=False)
     for picked in (rows, slice(1, None), np.arange(0)):
-        part = table_moments(table, picked)
+        part = table_moments(table, picked, fk=(8, 0, 3))
         for name in ("log_n", "m2", "m4", "w"):
             assert np.array_equal(getattr(part, name), getattr(full, name)[picked])
+        assert sorted(part.fk) == [0, 3, 8]
+        for k, column in part.fk.items():
+            assert np.array_equal(column, full.fk[k][picked])
+
+
+def test_table_moments_fk_requests():
+    table = smooth_table(2 * 10**4, 2 * 10**4)
+    full = table_moments(table, slice(None), fk=range(9))
+    assert table_moments(table, slice(None)).fk == {}
+    omega = table_moments(table, slice(None), fk=(0,)).fk
+    assert list(omega) == [0] and np.array_equal(omega[0], full.fk[0])
+    twice = table_moments(table, slice(None), fk=(2, 0, 2, 5, 0)).fk
+    assert sorted(twice) == [0, 2, 5]
+    for k, column in twice.items():
+        assert np.array_equal(column, full.fk[k])
+    for bad in ((9,), (1, -1)):
+        with pytest.raises(DomainError):
+            table_moments(table, slice(None), fk=bad)
 
 
 def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):

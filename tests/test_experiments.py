@@ -215,6 +215,20 @@ def test_concentration_rows_and_meta():
     assert len(hist["edges"]) == len(hist["counts"]) + 1
 
 
+def test_concentration_reads_each_slot_column_once(monkeypatch):
+    # every f_k, and sigma_n, gather from one pass over the slot columns
+    calls = []
+    term_index = divdist._term_index
+
+    def spy(slots, exps, j, width):
+        calls.append(j)
+        return term_index(slots, exps, j, width)
+
+    monkeypatch.setattr(divdist, "_term_index", spy)
+    run_concentration(ConcentrationRunConfig(x=10**5, y=100, k_list=(0, 1, 2, 3, 8)))
+    assert calls == list(range(arith.smooth_table(10**5, 100).exps.shape[1]))
+
+
 def test_concentration_config_guards():
     with pytest.raises(ConfigError):
         ConcentrationRunConfig(x=X, y=Y, k_list=())
