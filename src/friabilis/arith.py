@@ -23,11 +23,11 @@ MEMO_CEILING = 10**7  # largest admissible recursion memo table
 N_CEILING = 2**62  # divisor products must stay inside int64
 MEMORY_CEILING = 4 * 2**30  # largest admissible estimated bytes of a smooth_table
 # Bytes per row of S(x, y) that smooth_table's estimate charges.  The build
-# alone peaked at 66 (tracemalloc: 194 MB for the 2,944,730 rows of
-# S(1e9, 100)); a whole `average` run, the heaviest caller, at 181 (peak
-# RSS 1,590 MB for the 8,800,084 rows of S(1e10, 100)).  The larger, rounded
-# up: at this rate S(1e10, 100) needs 1.7 GB and S(1e11, 100), 24.9M rows,
-# 4.8 GB, past the ceiling.
+# alone peaks at 66 (tracemalloc: 194 MB for the 2,944,730 rows of
+# S(1e9, 100), with every row gather along axis 0); a whole `average` run,
+# the heaviest caller, at 181 (peak RSS 1,590 MB for the 8,800,084 rows of
+# S(1e10, 100)).  The larger, rounded up: at this rate S(1e10, 100) needs
+# 1.7 GB and S(1e11, 100), 24.9M rows, 4.8 GB, past the ceiling.
 ROW_BYTES = 192
 
 
@@ -191,7 +191,9 @@ class SmoothTable:
 
     def primes(self, index) -> np.ndarray:
         """The int64 primes in slots[index] (some rows, or (rows, columns)),
-        1 in padding."""
+        1 in padding.  An index array of rows is gathered along axis 0."""
+        if isinstance(index, np.ndarray):
+            return np.take(self._slot_primes, np.take(self.slots, index, axis=0))
         return self._slot_primes[self.slots[index]]
 
     def factorizations(self) -> Iterator[Factorization]:
@@ -247,8 +249,8 @@ def smooth_table(x, y) -> SmoothTable:
                 f"{size * ROW_BYTES} bytes, past the memory ceiling {MEMORY_CEILING}"
             )
 
-    def take(rows, keep):
-        return tuple(c[keep] for c in rows)
+    def keep(rows, mask):
+        return tuple(np.compress(mask, c, axis=0) for c in rows)
 
     def times(rows, i, k, pk):  # i and pk may hold one value per row
         n, omega, slots, exps = rows
@@ -276,7 +278,7 @@ def smooth_table(x, y) -> SmoothTable:
     size = 1
     small = int(np.searchsorted(basis, root, side="right"))
     for i, p in enumerate(basis[:small].tolist()):
-        live = take(live, live[0] <= x // p)
+        live = keep(live, live[0] <= x // p)
         grown, rows, pk, k = [live], live, p, 1
         while len(rows[0]):
             size += len(rows[0])
@@ -284,7 +286,7 @@ def smooth_table(x, y) -> SmoothTable:
             grown.append(times(rows, i, k, pk))
             pk *= p
             k += 1
-            rows = take(rows, rows[0] <= x // pk)
+            rows = keep(rows, rows[0] <= x // pk)
         blocks += grown[1:]
         live = tuple(np.concatenate(c) for c in zip(*grown))
 
@@ -297,15 +299,17 @@ def smooth_table(x, y) -> SmoothTable:
         starts = np.cumsum(counts) - counts
         par = order[np.arange(total) - np.repeat(starts, counts)]
         index = np.repeat(np.arange(small, len(basis), dtype=slot_type), counts)
-        blocks.append(times(take(live, par), index, 1, np.repeat(large, counts)))
+        parents = tuple(np.take(c, par, axis=0) for c in live)
+        blocks.append(times(parents, index, 1, np.repeat(large, counts)))
 
     # freed before the sort copies the columns: at S(1e9, 100) the traced
-    # peak falls from 95 to 66 bytes a row
+    # peak falls from 71 to 66 bytes a row
     del live
     n, _, slots, exps = (np.concatenate(c) for c in zip(*blocks))
     del blocks
     order = np.argsort(n)
-    return SmoothTable(n=n[order], slots=slots[order], exps=exps[order], basis=basis)
+    n, slots, exps = (np.take(c, order, axis=0) for c in (n, slots, exps))
+    return SmoothTable(n=n, slots=slots, exps=exps, basis=basis)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,18 @@ predicts.
 
 Over a SmoothTable, table_moments (for moments, log n and additive_fk)
 and table_upper_tails return, row by row, the same floats as the per-n
-functions, bit for bit.  table_moments performs the same IEEE operations
-in the same order and takes log p from math.log, as the per-n code does,
-through one term per (prime, exponent) for every statistic, all gathered
-in one pass over the slot columns.  table_upper_tails counts the divisors of
+functions, bit for bit.  Both gather table rows along axis 0, with np.take,
+never by advanced indexing of a 2-D array.  table_moments computes only
+the columns its caller names, and performs the same IEEE operations in the
+same order and takes log p from math.log, as the per-n code does, through
+one term per (prime, exponent) for every statistic, all gathered in one
+pass over the slot columns.  table_upper_tails counts the divisors of
 n = m P^e (P its largest prime) from the log d of its stem m shifted by
-i log P.  Every query that a shifted threshold puts within 2 MERGE_TOL of
-a stem atom is answered again from the full sorted log-divisors of n,
-nudged as nudge_off_atom would, so float rounding in the shift cannot
-change a count.  One search serves both passes: over chunks of sorted
+i log P, or, where m is not a row of the table, from n's own.  Every
+query that a shifted threshold puts within 2 MERGE_TOL of a stem atom is
+answered again from the full sorted log-divisors of n, nudged as
+nudge_off_atom would, so float rounding in the shift cannot change a
+count.  One search serves both passes: over chunks of sorted
 log-divisors, expanded once per distinct row, it returns the count of atoms
 below a threshold and the distance to the nearest one.  The stem pass
 flags a distance under 2 MERGE_TOL; the nudge pass, where each flagged n is
@@ -25,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import log, sqrt
 from typing import Iterator
 
@@ -183,22 +187,21 @@ def _prime_logs(table: SmoothTable) -> np.ndarray:
     return np.array([log(p) for p in table.basis.tolist()] + [0.0])
 
 
-@dataclass(frozen=True)
 class MomentColumns:
-    """log n, the moments m2, m4, w and f_k for each k asked of every row
-    of a SmoothTable, equal bit for bit to Factorization.log_n, moments()
-    and additive_fk() row by row."""
+    """The columns table_moments was asked for: log n, m2 and m4 as named,
+    and fk, the f_k for each k asked, equal bit for bit to
+    Factorization.log_n, moments() and additive_fk() row by row.  A column
+    not asked for is absent, and reading it raises AttributeError."""
 
-    log_n: np.ndarray
-    m2: np.ndarray
-    m4: np.ndarray
-    fk: dict[int, np.ndarray]
+    def __init__(self, fk: dict[int, np.ndarray], **named: np.ndarray):
+        self.fk = fk
+        vars(self).update(named)
 
     @property
     def sigma(self) -> np.ndarray:
         return np.sqrt(self.m2)
 
-    @property
+    @cached_property
     def w(self) -> np.ndarray:
         """m2 * m2 / m4 where m4 > 0, exactly the rows with a factor; else 1."""
         m4 = self.m4
@@ -215,10 +218,11 @@ def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.n
     return index
 
 
-def table_moments(table: SmoothTable, rows, fk=()) -> MomentColumns:
-    """log n, moments() (less tau and t_max) and additive_fk(f, k) for each
-    k in fk, for the given rows (an index array or a slice), in their order,
-    in one pass over the slot columns.
+def table_moments(table: SmoothTable, rows, names=(), fk=()) -> MomentColumns:
+    """The columns named in names, of "log_n", "m2" and "m4" (moments()
+    less tau and t_max), and additive_fk(f, k) for each k in fk, for the
+    given rows (an index array or a slice), in their order, in one pass
+    over the slot columns.
 
     Each term of the per-n loops is computed once per (basis index,
     exponent), by the same IEEE operations, and each column's flat index
@@ -230,17 +234,24 @@ def table_moments(table: SmoothTable, rows, fk=()) -> MomentColumns:
     """
     if any(not 0 <= k <= 8 for k in fk):
         raise DomainError("k must lie in [0, 8]")
-    slots, exps = table.slots[rows], table.exps[rows]
+    if isinstance(rows, slice):
+        slots, exps = table.slots[rows], table.exps[rows]
+    else:
+        slots, exps = (np.take(c, rows, axis=0) for c in (table.slots, table.exps))
     logs = _prime_logs(table)
     lp = logs[:, None]
     lp2 = lp * lp
     width = int(exps.max(initial=0)) + 1
     e = np.arange(width, dtype=np.int64)
-    terms = [
-        (e * lp).ravel(),
-        (e * (e + 2) * lp2).ravel(),
-        (e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2).ravel(),
-    ]
+    moment_terms = {
+        "log_n": e * lp,
+        "m2": e * (e + 2) * lp2,
+        "m4": e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2,
+    }
+    if not set(names) <= moment_terms.keys():
+        raise DomainError(f"names must be among {list(moment_terms)}, got {names}")
+    named = [name for name in moment_terms if name in names]
+    terms = [moment_terms[name].ravel() for name in named]
     powers = sorted(set(fk))
     top = log(int(table.n[-1]))
     pairs = [
@@ -256,11 +267,13 @@ def table_moments(table: SmoothTable, rows, fk=()) -> MomentColumns:
     for j in range(exps.shape[1]):
         index = _term_index(slots, exps, j, width)
         for total, term in zip(sums, terms):
-            total += term[index]
-    log_n, m2, m4, *raised = sums
-    m2 /= 12.0
-    m4 /= 240.0
-    return MomentColumns(log_n=log_n, m2=m2, m4=m4, fk=dict(zip(powers, raised)))
+            total += np.take(term, index)
+    columns = dict(zip(named, sums))
+    if "m2" in columns:
+        columns["m2"] /= 12.0
+    if "m4" in columns:
+        columns["m4"] /= 240.0
+    return MomentColumns(fk=dict(zip(powers, sums[len(named):])), **columns)
 
 
 def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -330,7 +343,7 @@ def _atom_chunks(
         width = int(tau[-1]) + 1
         atoms = np.full((len(rows), width), np.inf)
         atoms[np.arange(width) < tau[first][:, None]] = _log_divisors(
-            table.primes(rows), table.exps[rows]
+            table.primes(rows), np.take(table.exps, rows, axis=0)
         )
         atoms.sort(axis=1)
         yield lo, hi, atoms, (np.cumsum(first) - 1) * width, tau
@@ -379,7 +392,7 @@ def _nudged_tails(
     every pair still within MERGE_TOL of an atom, with the same float
     additions nudge_off_atom makes.
     """
-    tau = np.prod(table.exps[row].astype(np.int64) + 1, axis=1)
+    tau = np.prod(np.take(table.exps, row, axis=0).astype(np.int64) + 1, axis=1)
     key = tau * len(table) + row
     order = np.argsort(key, kind="stable")
     tails = np.empty(len(t))
@@ -417,9 +430,11 @@ def table_upper_tails(
     not nudged).  Returns (tails, nudged), both shaped like t.
 
     Each n > 1 is m P^e, P^e the power of its largest prime, and its stem m
-    is a row of the table (n = 1 is its own stem, with e = 0).  The divisors
-    of n are d P^i with d | m and 0 <= i <= e, so count(log delta >= t) over
-    the divisors of n is the sum over i of #{d | m : log d >= t - i log P}.
+    is a row of the table.  n = 1, and a row whose stem the table lacks (a
+    table of some rows of S(x, y)), is its own stem, with e = 0.  The
+    divisors of n are d P^i with d | m and 0 <= i <= e, so
+    count(log delta >= t) over the divisors of n is the sum over i of
+    #{d | m : log d >= t - i log P}.
     The sorted log d of each distinct stem are expanded once, and a binary
     search answers each shifted threshold.  Rows are taken in ascending
     tau(stem), in chunks of at most ATOM_BUDGET padded stem atoms and
@@ -440,10 +455,10 @@ def table_upper_tails(
     """
     rows = np.asarray(rows, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
+    exps = np.take(table.exps, rows, axis=0)
     tau = np.ones(len(rows), dtype=np.int64)
     last = np.full(len(rows), -1, dtype=np.int64)
-    for j in range(table.exps.shape[1]):
-        ej = table.exps[rows, j]
+    for ej in exps.T:
         tau *= ej + 1
         last += ej > 0
     over = np.flatnonzero(tau > TAU_CEILING)
@@ -453,10 +468,16 @@ def table_upper_tails(
         )
     # n = 1 has last = -1, a padding slot (prime 1, e = 0): its own stem
     prime = table.primes((rows, last))
-    e = table.exps[rows, last]
-    stem = np.searchsorted(table.n, table.n[rows] // prime**e)
+    e = exps[np.arange(len(rows)), last]
+    del exps
+    m = table.n[rows] // prime**e
+    stem = np.searchsorted(table.n, m)
+    # a row whose stem is not in the table is its own stem, with e = 0
+    alone = np.take(table.n, stem, mode="clip") != m
+    stem[alone] = rows[alone]
+    e[alone] = 0
     key = tau // (e + 1) * len(table) + stem
-    del tau, last, stem
+    del tau, last, m, stem, alone
     log_p = np.log(prime.astype(np.float64))
     del prime
     order = np.argsort(key)
@@ -473,7 +494,7 @@ def table_upper_tails(
         # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
         starts = np.cumsum(reps[pick]) - reps[pick]
         child = np.repeat(np.arange(hi - lo), reps[pick])
-        s = t[pick[child]]
+        s = np.take(t, pick[child], axis=0)
         s -= ((np.arange(len(child)) - starts[child]) * log_p[pick[child]])[:, None]
         pos, gap = _search(atoms, base[child][:, None], s)
         np.subtract(stem_tau[child][:, None], pos, out=pos)

@@ -146,7 +146,7 @@ def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
     if sampled:
         ranks = sorted(random.Random(config.seed).sample(ranks, config.sample_cap))
     picked = np.array(ranks, dtype=np.int64)
-    mom = table_moments(table, picked)
+    mom = table_moments(table, picked, ("log_n", "m2", "m4"))
     w = mom.w
 
     zs = config.z_grid
@@ -249,7 +249,7 @@ def run_average(config: AverageRunConfig) -> RunResult:
     zs = config.z_grid
     table = smooth_table(config.x, config.y)
     count = len(table)
-    mom = table_moments(table, slice(None))
+    mom = table_moments(table, slice(None), ("log_n",))
     t = 0.5 * mom.log_n[:, None] + np.array(zs)[None, :] * sigma_bar
     tails, nudged = table_upper_tails(table, np.arange(count), t)
     # cumsum adds in n order, one term at a time, as a running total would
@@ -343,7 +343,7 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
     model_means = {k: model_mean_additive(ctx, k) for k in config.k_list}
 
     table = smooth_table(config.x, config.y)
-    mom = table_moments(table, slice(None), fk=config.k_list)
+    mom = table_moments(table, slice(None), ("m2",), fk=config.k_list)
     # row 0 is n = 1, which has no spread
     sigma_ratios = mom.sigma[1:] / sigma_bar
 

@@ -1,6 +1,7 @@
 """Exact log-divisor law: atoms, moments, tails, and the additive statistics,
 all checked against sqrt-divisor brute force."""
 
+import itertools
 import math
 from fractions import Fraction
 from math import isqrt, log
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friabilis import divdist
-from friabilis.arith import Factorization, factorize, smooth_table
+from friabilis.arith import Factorization, SmoothTable, factorize, smooth_table
 from friabilis.divdist import (
     additive_fk,
     exact_law,
@@ -26,6 +27,7 @@ from friabilis.errors import DomainError, ResourceLimitError
 from friabilis.saddle import make_context
 
 INTERESTING = [2, 4, 6, 12, 36, 60, 97, 1024, 30030, 720720, 9699690]
+MOMENT_NAMES = ("log_n", "m2", "m4")  # every column table_moments can name
 
 
 def brute_divisors(n: int) -> list[int]:
@@ -199,7 +201,7 @@ def tail_queries(table, rows, seed):
     random atom, one planted 1.5 MERGE_TOL above a random atom, and a NaN
     scattered over a tenth of the entries."""
     rng = np.random.default_rng(seed)
-    mom = table_moments(table, rows)
+    mom = table_moments(table, rows, ("log_n", "m2"))
     z = rng.uniform(-1.5, 1.5, (len(rows), 5))
     t = 0.5 * mom.log_n[:, None] + z * mom.sigma[:, None]
     t[:, 0] = 0.5 * mom.log_n
@@ -303,6 +305,21 @@ def test_table_upper_tails_of_no_rows():
         assert tails.dtype == np.float64 and nudged.dtype == bool
 
 
+def test_table_upper_tails_on_a_table_without_stems():
+    # every third row of S(1e5, 30): most stems n // P**e are missing, and
+    # such a row is its own stem, with e = 0
+    whole = smooth_table(10**5, 30)
+    table = SmoothTable(
+        n=whole.n[::3], slots=whole.slots[::3], exps=whole.exps[::3], basis=whole.basis
+    )
+    rows = np.arange(len(table), dtype=np.int64)
+    t = tail_queries(table, rows, seed=13)
+    tails, nudged = table_upper_tails(table, rows, t)
+    want_tails, want_nudged = per_n_tails(table, rows, t)
+    assert np.array_equal(tails, want_tails)
+    assert np.array_equal(nudged, want_nudged)
+
+
 def test_log_divisors_are_far_apart():
     # for d1 < d2 | n, (d2 - d1) / d1 >= n**-0.5: no two atoms come within
     # MERGE_TOL of each other, even for n near 2**62 with two close primes
@@ -333,21 +350,22 @@ def test_table_terms_match_per_n(x, y, slot_dtype, top):
     # primes take only e = 1, so the pow bound decides which f_k terms exist
     table = smooth_table(x, y)
     assert table.slots.dtype == slot_dtype and table.exps.max() == top
-    mom = table_moments(table, slice(None), fk=range(9))
+    mom = table_moments(table, slice(None), MOMENT_NAMES, fk=range(9))
     assert sorted(mom.fk) == list(range(9))
+    w = mom.w
     for i, f in enumerate(table.factorizations()):
         want = moments(f)
-        got = (mom.log_n[i], mom.m2[i], mom.m4[i], mom.w[i])
+        got = (mom.log_n[i], mom.m2[i], mom.m4[i], w[i])
         assert got == (f.log_n, want.m2, want.m4, want.w), f.n
         assert [mom.fk[k][i] for k in range(9)] == [additive_fk(f, k) for k in range(9)], f.n
 
 
 def test_table_moments_of_some_rows_are_those_of_all_rows():
     table = smooth_table(10**5, 30)
-    full = table_moments(table, slice(None), fk=range(9))
+    full = table_moments(table, slice(None), MOMENT_NAMES, fk=range(9))
     rows = np.random.default_rng(5).choice(len(table), 500, replace=False)
     for picked in (rows, slice(1, None), np.arange(0)):
-        part = table_moments(table, picked, fk=(8, 0, 3))
+        part = table_moments(table, picked, MOMENT_NAMES, fk=(8, 0, 3))
         for name in ("log_n", "m2", "m4", "w"):
             assert np.array_equal(getattr(part, name), getattr(full, name)[picked])
         assert sorted(part.fk) == [0, 3, 8]
@@ -368,6 +386,45 @@ def test_table_moments_fk_requests():
     for bad in ((9,), (1, -1)):
         with pytest.raises(DomainError):
             table_moments(table, slice(None), fk=bad)
+
+
+@pytest.mark.parametrize(
+    "x,y,slot_dtype",
+    [(10**5, 30, np.uint8), (2 * 10**4, 2 * 10**4, np.uint16)],
+    ids=["S(1e5,30)", "S(2e4,2e4)"],
+)
+def test_table_moments_computes_only_the_named_columns(x, y, slot_dtype):
+    table = smooth_table(x, y)
+    assert table.slots.dtype == slot_dtype
+    full = table_moments(table, slice(None), MOMENT_NAMES)
+    rows = np.random.default_rng(7).choice(len(table), 300, replace=False)
+    for names in itertools.chain.from_iterable(
+        itertools.combinations(MOMENT_NAMES, r) for r in range(4)
+    ):
+        for picked in (slice(1, None), rows, np.arange(0)):
+            part = table_moments(table, picked, names)
+            for name in MOMENT_NAMES:
+                if name in names:
+                    want = getattr(full, name)[picked]
+                    assert np.array_equal(getattr(part, name), want)
+                else:
+                    with pytest.raises(AttributeError):
+                        getattr(part, name)
+            if "m2" not in names:
+                with pytest.raises(AttributeError):
+                    part.sigma
+            if "m4" not in names:
+                with pytest.raises(AttributeError):
+                    part.w
+    for bad in (("m3",), ("log_n", "sigma"), "m2"):
+        with pytest.raises(DomainError):
+            table_moments(table, slice(None), bad)
+
+
+def test_moment_columns_w_is_computed_once():
+    mom = table_moments(smooth_table(10**4, 30), slice(None), ("m2", "m4"))
+    w = mom.w
+    assert mom.w is w  # not a column built again on each read
 
 
 def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):
