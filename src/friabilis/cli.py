@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import decimal
 import functools
 import json
 import os
@@ -38,15 +39,17 @@ _PSI_EXACT_BUDGET = 5_000_000  # enumeration nodes the saddle view will spend
 
 
 def _int_arg(text: str) -> int:
-    # accept 10**k shorthand like 1e8 on the command line
+    # accept 10**k shorthand like 1e8 on the command line, read through
+    # Decimal, which keeps the digits that float rounds away past 2**53
     try:
-        return int(text, 0)
-    except ValueError:
-        value = float(text)
-        out = int(value)
-        if out != value:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        return out
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
+        return int(text, 0)  # 0x, 0o and 0b literals
+    # 4300 digits is Python's default cap on int(text); a far larger exponent
+    # would have int(value) build an integer of that many digits
+    if not (value.is_finite() and value.adjusted() < 4300 and value == int(value)):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(value)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -147,36 +150,45 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    config = CltRunConfig(
-        x=args.x,
-        y=args.y,
-        z_grid=args.z_grid,
-        C=args.C,
-        w_min=args.w_min,
-        seed=args.seed,
-        sample_cap=args.sample_cap,
-    )
-    return _emit_result(run_clt(config, B=args.B), args)
+    return _emit_result(run_clt(_config(CltRunConfig, args)), args)
 
 
 def _cmd_average(args) -> int:
-    config = AverageRunConfig(x=args.x, y=args.y, z_grid=args.z_grid, c5=args.c5)
-    return _emit_result(run_average(config), args)
+    return _emit_result(run_average(_config(AverageRunConfig, args)), args)
 
 
 def _cmd_concentration(args) -> int:
-    config = ConcentrationRunConfig(
-        x=args.x,
-        y=args.y,
-        k_list=args.k_list,
-        thresholds=args.thresholds,
-        bins=args.bins,
-    )
-    return _emit_result(run_concentration(config), args)
+    return _emit_result(run_concentration(_config(ConcentrationRunConfig, args)), args)
 
 
 def _cmd_arcsine(args) -> int:
     return _emit_result(arcsine_check(args.x, args.vs), args)
+
+
+_FIELD_PARSERS = {
+    "int": _int_arg,
+    "float": float,
+    "tuple[float, ...]": _float_list,
+    "tuple[int, ...]": _int_list,
+}
+
+
+def _add_config_flags(sub, config_type) -> None:
+    """One --flag per field of a run config, named after the field.  A field
+    without a default is a required flag; an optional flag left out sets
+    nothing, so the config's own default applies."""
+    for field in dataclasses.fields(config_type):
+        sub.add_argument(
+            "--" + field.name.replace("_", "-"),
+            type=_FIELD_PARSERS[field.type],
+            required=field.default is dataclasses.MISSING,
+            default=argparse.SUPPRESS,
+        )
+
+
+def _config(config_type, args):
+    names = {field.name for field in dataclasses.fields(config_type)}
+    return config_type(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _add_output_flags(sub) -> None:
@@ -222,33 +234,19 @@ def _build_parser() -> argparse.ArgumentParser:
     tail.set_defaults(handler=_cmd_tail)
 
     clt = subs.add_parser("clt", help="per-n Gaussian tail error sweep over S(x, y)")
-    clt.add_argument("--x", type=_int_arg, required=True)
-    clt.add_argument("--y", type=_int_arg, required=True)
-    clt.add_argument("--z-grid", type=_float_list, required=True)
-    clt.add_argument("--C", type=float, default=10.0)
-    clt.add_argument("--B", type=float, default=1.0)
-    clt.add_argument("--w-min", type=float, default=0.0)
-    clt.add_argument("--seed", type=int, default=0)
-    clt.add_argument("--sample-cap", type=int, default=200_000)
+    _add_config_flags(clt, CltRunConfig)
     _add_output_flags(clt)
     clt.set_defaults(handler=_cmd_clt)
 
     avg = subs.add_parser("average", help="ensemble-averaged tails over S(x, y)")
-    avg.add_argument("--x", type=_int_arg, required=True)
-    avg.add_argument("--y", type=_int_arg, required=True)
-    avg.add_argument("--z-grid", type=_float_list, required=True)
-    avg.add_argument("--c5", type=float, default=1.0)
+    _add_config_flags(avg, AverageRunConfig)
     _add_output_flags(avg)
     avg.set_defaults(handler=_cmd_average)
 
     conc = subs.add_parser(
         "concentration", help="concentration of additive statistics over S(x, y)"
     )
-    conc.add_argument("--x", type=_int_arg, required=True)
-    conc.add_argument("--y", type=_int_arg, required=True)
-    conc.add_argument("--k-list", type=_int_list, default=(0, 1, 2))
-    conc.add_argument("--thresholds", type=_float_list, default=(0.1, 0.25, 0.5))
-    conc.add_argument("--bins", type=int, default=40)
+    _add_config_flags(conc, ConcentrationRunConfig)
     _add_output_flags(conc)
     conc.set_defaults(handler=_cmd_concentration)
 

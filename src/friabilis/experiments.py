@@ -3,8 +3,7 @@ sweeps, ensemble-averaged tails, concentration of the law's spread, and the
 arcsine profile of divisor counting functions.
 
 Every run returns a RunResult whose rows serialize deterministically: the
-same config always produces byte-identical CSV and JSON, so outputs can be
-diffed across machines and backends.
+same config always produces byte-identical CSV and JSON.
 """
 
 from __future__ import annotations
@@ -80,6 +79,15 @@ class RunResult:
         return json.dumps(payload, sort_keys=True)
 
 
+def _meta(kind: str, config, **extra) -> dict:
+    """A run's meta: schema, kind and backend, every config field (tuples as
+    lists), then what the run computed."""
+    fields = {
+        k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(config).items()
+    }
+    return {"schema": SCHEMA_VERSION, "kind": kind, "backend": BACKEND, **fields, **extra}
+
+
 def _csv_cell(value) -> str:
     # repr of a float is its shortest exact round-trip form, which makes the
     # byte-identical-output guarantee independent of print formatting
@@ -97,7 +105,7 @@ class CltRunConfig:
 
     For each n the error is weighted by w_n / (1 + z^4); errors above C are
     counted as exceptional.  n with w_n below w_min are skipped, and each z
-    is only tested on n with z <= B w_n^{1/4} (B is a run_clt argument).
+    is only tested on n with z <= B w_n^{1/4}.
     When more than sample_cap n > 1 are in range, random.Random(seed).sample
     draws sample_cap of their ranks, uniformly, in the ascending table.
     """
@@ -106,6 +114,7 @@ class CltRunConfig:
     y: int
     z_grid: tuple[float, ...]
     C: float = 10.0
+    B: float = 1.0
     w_min: float = 0.0
     seed: int = 0
     sample_cap: int = 200_000
@@ -118,6 +127,8 @@ class CltRunConfig:
         object.__setattr__(self, "z_grid", grid)
         if not self.C > 0:
             raise ConfigError("C must be positive")
+        if not self.B > 0:
+            raise ConfigError("B must be positive")
         if not self.w_min >= 0:
             raise ConfigError("w_min must be >= 0")
         if self.sample_cap < 1:
@@ -135,10 +146,8 @@ class CltRow:
     nudged: int
 
 
-def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
+def run_clt(config: CltRunConfig) -> RunResult:
     """Gaussian tail quality across S(x, y), one output row per z."""
-    if not B > 0:
-        raise ConfigError("B must be positive")
     table = smooth_table(config.x, config.y)
     ranks = range(1, len(table))  # row i > 0 is the i-th n > 1; row 0 is n = 1
     total = len(ranks)
@@ -151,7 +160,7 @@ def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
 
     zs = config.z_grid
     z_col = np.array(zs)
-    z_cap = np.array([B * wi**0.25 for wi in w.tolist()])
+    z_cap = np.array([config.B * wi**0.25 for wi in w.tolist()])
     active = (z_col[None, :] <= z_cap[:, None]) & (w >= config.w_min)[:, None]
     tested = active.any(axis=1)  # only these n need their divisor law
     picked, w, active = picked[tested], w[tested], active[tested]
@@ -174,24 +183,8 @@ def run_clt(config: CltRunConfig, *, B: float = 1.0) -> RunResult:
                 nudged=int(np.count_nonzero(nudged[on, i])),
             )
         )
-    meta = {
-        "schema": SCHEMA_VERSION,
-        "kind": "clt",
-        "backend": BACKEND,
-        "x": config.x,
-        "y": config.y,
-        "z_grid": list(zs),
-        "C": config.C,
-        "B": B,
-        "w_min": config.w_min,
-        "seed": config.seed,
-        "sample_cap": config.sample_cap,
-        "psi_gt1": total,
-        "n_selected": len(ranks),
-        "sampled": sampled,
-        # medians and maxima are computed exactly, not sketched
-        "quantile_rank_error": 0.0,
-    }
+    meta = _meta("clt", config, psi_gt1=total, n_selected=len(ranks), sampled=sampled)
+    meta["quantile_rank_error"] = 0.0  # medians and maxima are exact, not sketched
     return RunResult(rows=tuple(rows), meta=meta)
 
 
@@ -271,19 +264,7 @@ def run_average(config: AverageRunConfig) -> RunResult:
                 nudged=nudged_counts[i],
             )
         )
-    meta = {
-        "schema": SCHEMA_VERSION,
-        "kind": "average",
-        "backend": BACKEND,
-        "x": config.x,
-        "y": config.y,
-        "z_grid": list(zs),
-        "c5": config.c5,
-        "u": ctx.u,
-        "u_bar": ctx.u_bar,
-        "sigma_bar": sigma_bar,
-        "psi": count,
-    }
+    meta = _meta("average", config, u=ctx.u, u_bar=ctx.u_bar, sigma_bar=sigma_bar, psi=count)
     return RunResult(rows=tuple(rows), meta=meta)
 
 
@@ -362,24 +343,15 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
                 )
             )
     counts, edges = np.histogram(sigma_ratios, bins=config.bins)
-    meta = {
-        "schema": SCHEMA_VERSION,
-        "kind": "concentration",
-        "backend": BACKEND,
-        "x": config.x,
-        "y": config.y,
-        "k_list": list(config.k_list),
-        "thresholds": list(config.thresholds),
-        "bins": config.bins,
-        "u_bar": ctx.u_bar,
-        "sigma_bar": sigma_bar,
-        "model_means": {str(k): model_means[k] for k in config.k_list},
-        "psi": len(table),
-        "sigma_histogram": {
-            "edges": [float(e) for e in edges],
-            "counts": [int(c) for c in counts],
-        },
-    }
+    meta = _meta(
+        "concentration",
+        config,
+        u_bar=ctx.u_bar,
+        sigma_bar=sigma_bar,
+        model_means={str(k): model_means[k] for k in config.k_list},
+        psi=len(table),
+        sigma_histogram={"edges": edges.tolist(), "counts": counts.tolist()},
+    )
     return RunResult(rows=tuple(rows), meta=meta)
 
 

@@ -75,7 +75,13 @@ def sigma2_star(alpha, y) -> float:
 
 def sigma_bar_sq(alpha, y) -> float:
     """Width parameter of the averaged divisor law:
-    (1/2) sum over p <= y of (p^alpha - 1/3)(log p)^2 / (p^alpha - 1)^2."""
+    (1/2) sum over p <= y of (p^alpha - 1/3)(log p)^2 / (p^alpha - 1)^2.
+
+    With nu geometric of ratio p^-alpha (the tilted model's exponent of p),
+    this is 2 sum_p (log p)^2 E[nu (nu + 2)] / 12: twice the model mean of
+    sigma_n^2, the variance of log d over the divisors d of n.  The abstract
+    alone cannot settle whether the factor 2 is intended.
+    """
     alpha = float(alpha)
     if alpha <= 0:
         raise DomainError("sigma_bar_sq needs alpha > 0")

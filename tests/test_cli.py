@@ -1,5 +1,7 @@
 """CLI surface: every subcommand end to end, output shapes, exit codes."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +11,7 @@ import pytest
 import friabilis.cli as cli
 from friabilis.arith import psi_exact
 from friabilis.errors import ResourceLimitError
+from friabilis.experiments import AverageRunConfig, CltRunConfig, ConcentrationRunConfig
 from friabilis.saddle import solve_alpha
 
 
@@ -62,6 +65,38 @@ def test_divdist_summary(capsys):
     assert fields["n"] == "60"
     assert fields["tau"] == "12"
     assert float(fields["w"]) > 0
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("9007199254740993e0", 2**53 + 1),  # float would give 2**53
+        ("12345678901234567e3", 12345678901234567000),
+        ("1e8", 10**8),
+        ("2.5e1", 25),
+        ("-3", -3),
+        ("0x10", 16),
+        ("1_000", 1000),
+        (" 010 ", 10),
+    ],
+)
+def test_int_arg_is_exact(text, value):
+    assert cli._int_arg(text) == value
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e-1", "inf", "-inf", "nan", "sNaN", "ten", "1e5000"])
+def test_int_arg_refuses_what_is_not_an_integer(text, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["divdist", "--n", text])
+    assert exit_.value.code == 2
+    assert "argument --n:" in capsys.readouterr().err
+
+
+def test_divdist_reads_n_exactly(capsys):
+    code, out, _ = run_cli(capsys, "divdist", "--n", "9007199254740993e0")
+    assert code == 0
+    fields = dict(line.split(None, 1) for line in out.splitlines())
+    assert fields["n"] == "9007199254740993"
 
 
 def test_divdist_atoms(capsys):
@@ -230,8 +265,78 @@ def test_stdout_csv_matches_out_file(tmp_path, capsys, argv):
     assert out.encode("utf-8") == path.read_bytes()
 
 
+# each run driver: the function it calls, the extra flags its minimal argv
+# needs, and an argv that sets every field of its config away from its default
+DRIVERS = {
+    "clt": (
+        "run_clt",
+        "--z-grid 0,0.5",
+        "--x 2e4 --y 31 --z-grid 0.25,1 --C 3.5 --B 0.5 --w-min 0.2 --seed 9 --sample-cap 77",
+        CltRunConfig(
+            x=20000, y=31, z_grid=(0.25, 1.0), C=3.5, B=0.5, w_min=0.2, seed=9, sample_cap=77
+        ),
+    ),
+    "average": (
+        "run_average",
+        "--z-grid 0,0.5",
+        "--x 2e4 --y 31 --z-grid=-0.5,1 --c5 2.5",
+        AverageRunConfig(x=20000, y=31, z_grid=(-0.5, 1.0), c5=2.5),
+    ),
+    "concentration": (
+        "run_concentration",
+        "",
+        "--x 2e4 --y 31 --k-list 1,3 --thresholds 0,0.2 --bins 7",
+        ConcentrationRunConfig(x=20000, y=31, k_list=(1, 3), thresholds=(0.0, 0.2), bins=7),
+    ),
+}
+
+
+def config_of(monkeypatch, command, argv):
+    """The config that `command` hands its run driver."""
+    seen = []
+
+    def run(config):
+        seen.append(config)
+        raise ResourceLimitError("stop")
+
+    monkeypatch.setattr(cli, DRIVERS[command][0], run)
+    assert cli.main([command, *argv]) == 3
+    return seen[0]
+
+
+@pytest.mark.parametrize("command", sorted(DRIVERS))
+def test_driver_flags_are_the_config_fields(command):
+    subs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in subs.choices[command]._actions]
+    names = [field.name for field in dataclasses.fields(DRIVERS[command][3])]
+    assert dests == ["help", *names, "out", "json"]
+
+
+@pytest.mark.parametrize("command", sorted(DRIVERS))
+def test_driver_flags_left_out_keep_the_config_defaults(command, monkeypatch, capsys):
+    _, required, _, full = DRIVERS[command]
+    got = config_of(monkeypatch, command, ["--x", "1e4", "--y", "30", *required.split()])
+    extra = {"z_grid": (0.0, 0.5)} if required else {}
+    assert got == type(full)(x=10**4, y=30, **extra)
+
+
+@pytest.mark.parametrize("command", sorted(DRIVERS))
+def test_driver_flags_reach_every_config_field(command, monkeypatch, capsys):
+    _, _, argv, want = DRIVERS[command]
+    for field in dataclasses.fields(want):
+        assert getattr(want, field.name) != field.default, field.name
+    assert config_of(monkeypatch, command, argv.split()) == want
+
+
+def test_clt_B_must_be_positive(capsys):
+    code, out, err = run_cli(capsys, "clt", "--x", "1e4", "--y", "30", "--z-grid", "0", "--B", "0")
+    assert code == 2
+    assert out == ""
+    assert "B must be positive" in err
+
+
 def test_resource_limit_exit_code(capsys, monkeypatch):
-    def boom(config, B=1.0):
+    def boom(config):
         raise ResourceLimitError("too large")
 
     monkeypatch.setattr(cli, "run_clt", boom)

@@ -86,7 +86,7 @@ def test_clt_statistics_sane():
 
 def test_clt_z_cap_and_w_min():
     base = run_clt(CltRunConfig(x=X, y=Y, z_grid=(0.0, 0.5)))
-    capped = run_clt(CltRunConfig(x=X, y=Y, z_grid=(0.0, 0.5)), B=0.01)
+    capped = run_clt(CltRunConfig(x=X, y=Y, z_grid=(0.0, 0.5), B=0.01))
     assert capped.rows[0].n_tested == base.rows[0].n_tested  # z = 0 always active
     assert capped.rows[1].n_tested == 0
     assert capped.rows[1].median_normalized_error == 0.0
@@ -137,7 +137,7 @@ def test_clt_config_guards():
         with pytest.raises(ConfigError):
             CltRunConfig(x=X, y=Y, z_grid=(0.0,), C=bad)
         with pytest.raises(ConfigError):
-            run_clt(CltRunConfig(x=X, y=Y, z_grid=(0.0,)), B=bad)
+            CltRunConfig(x=X, y=Y, z_grid=(0.0,), B=bad)
     for bad in (-1.0, math.nan):
         with pytest.raises(ConfigError):
             CltRunConfig(x=X, y=Y, z_grid=(0.0,), w_min=bad)
@@ -326,7 +326,7 @@ def test_json_payload_shape():
 # must reproduce their JSON and CSV byte for byte.
 
 
-def oracle_clt(config: CltRunConfig, B: float = 1.0) -> RunResult:
+def oracle_clt(config: CltRunConfig) -> RunResult:
     selected = [f for f in enumerate_smooth(config.x, config.y) if f.n > 1]
     total = len(selected)
     if total > config.sample_cap:
@@ -342,7 +342,7 @@ def oracle_clt(config: CltRunConfig, B: float = 1.0) -> RunResult:
         mom = moments(f)
         if mom.w < config.w_min:
             continue
-        z_cap = B * mom.w**0.25
+        z_cap = config.B * mom.w**0.25
         active = [i for i, z in enumerate(zs) if z <= z_cap]
         if not active:
             continue
@@ -375,7 +375,7 @@ def oracle_clt(config: CltRunConfig, B: float = 1.0) -> RunResult:
         "y": config.y,
         "z_grid": list(zs),
         "C": config.C,
-        "B": B,
+        "B": config.B,
         "w_min": config.w_min,
         "seed": config.seed,
         "sample_cap": config.sample_cap,
@@ -492,20 +492,20 @@ def test_average_matches_per_n_oracle(config, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config,B",
+    "config",
     [
-        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 0.5, 1.0, 1.5), C=0.5), 1.0),
-        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 0.5, 1.0, 1.5), w_min=0.7), 0.9),
-        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), w_min=0.8, sample_cap=500, seed=5), 1.2),
-        (CltRunConfig(x=X, y=Y, z_grid=(0.5,)), 0.01),  # the cap leaves no n
+        CltRunConfig(x=10**5, y=30, z_grid=(0.0, 0.5, 1.0, 1.5), C=0.5),
+        CltRunConfig(x=10**5, y=30, z_grid=(0.0, 0.5, 1.0, 1.5), w_min=0.7, B=0.9),
+        CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), w_min=0.8, sample_cap=500, seed=5, B=1.2),
+        CltRunConfig(x=X, y=Y, z_grid=(0.5,), B=0.01),  # the cap leaves no n
         # y > x: every n <= x, the old range-scan case
-        (CltRunConfig(x=3000, y=5000, z_grid=(0.0, 0.5), sample_cap=700, seed=2), 1.0),
-        (CltRunConfig(x=10**5, y=1613, z_grid=(0.0, 1.0), sample_cap=5000, seed=3), 1.0),
-        (CltRunConfig(x=10**5, y=1619, z_grid=(0.0, 1.0), sample_cap=5000, seed=3), 1.0),
+        CltRunConfig(x=3000, y=5000, z_grid=(0.0, 0.5), sample_cap=700, seed=2),
+        CltRunConfig(x=10**5, y=1613, z_grid=(0.0, 1.0), sample_cap=5000, seed=3),
+        CltRunConfig(x=10**5, y=1619, z_grid=(0.0, 1.0), sample_cap=5000, seed=3),
         # Psi(1e5, 30) - 1 = 5,157 n > 1: a cap of exactly that takes them
         # all, and one less draws a sample
-        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), sample_cap=5157, seed=4), 1.0),
-        (CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), sample_cap=5156, seed=4), 1.0),
+        CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), sample_cap=5157, seed=4),
+        CltRunConfig(x=10**5, y=30, z_grid=(0.0, 1.0), sample_cap=5156, seed=4),
     ],
     ids=[
         "full",
@@ -519,8 +519,8 @@ def test_average_matches_per_n_oracle(config, tmp_path):
         "cap-below-psi",
     ],
 )
-def test_clt_matches_per_n_oracle(config, B, tmp_path):
-    assert_same_output(run_clt(config, B=B), oracle_clt(config, B=B), tmp_path)
+def test_clt_matches_per_n_oracle(config, tmp_path):
+    assert_same_output(run_clt(config), oracle_clt(config), tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -179,6 +179,20 @@ def test_sigma_bar_below_sigma2_star():
         assert 0 < sigma_bar_sq(a, y) < sigma2_star(a, y)
 
 
+@pytest.mark.parametrize("x,y", [(10**7, 100), (10**8, 30), (10**10, 100)])
+def test_sigma_bar_sq_is_twice_the_model_mean_of_sigma_n_sq(x, y):
+    # sigma_n^2 sums (log p)^2 nu (nu + 2) / 12 over p^nu || n; under the
+    # tilted model nu is geometric with ratio q = p^-alpha, and sigma_bar^2
+    # is 2 sum_p (log p)^2 E[nu (nu + 2)] / 12, the series summed term by term
+    a = solve_alpha(x, y)
+    per_prime = []
+    for p in sieve_primes(y).tolist():
+        q = p**-a
+        mean = math.fsum((1.0 - q) * q**k * k * (k + 2) for k in range(1, 4000))
+        per_prime.append(math.log(p) ** 2 * mean / 12.0)
+    assert sigma_bar_sq(a, y) == pytest.approx(2.0 * math.fsum(per_prime), rel=1e-14)
+
+
 def test_context_fields():
     ctx = make_context(10**6, 100)
     assert ctx.u == pytest.approx(3.0, rel=1e-12)
