@@ -21,10 +21,14 @@ log-divisors, expanded once per distinct row, it returns the count of atoms
 below a threshold and the distance to the nearest one.  The stem pass
 flags a distance under 2 MERGE_TOL; the nudge pass, where each flagged n is
 its own stem with no shift, moves a query while it is under MERGE_TOL.
+The chunks of each pass run on one thread per CPU in the process's
+affinity mask; each writes only its own rows and is joined in chunk
+order, so the results are identical for any CPU count.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -326,27 +330,53 @@ def _key_chunks(
         lo = hi
 
 
-def _atom_chunks(
-    table: SmoothTable, key: np.ndarray, queries: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(lo, hi, atoms, base, tau) for each _key_chunks range of items in
-    ascending key, tau * len(table) + the row whose atoms are expanded.
+def _chunk_atoms(
+    table: SmoothTable, key: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(atoms, base, tau) for one _key_chunks range of items, given its key,
+    tau * len(table) + the row whose atoms are expanded, in ascending order.
 
     atoms holds the log-divisors of each distinct row of the range,
     ascending, in a row of width = the last tau + 1 entries padded with
     +inf; base is each item's flat offset into atoms and tau its atom count.
     """
-    for lo, hi in _key_chunks(key, len(table), queries):
-        first = np.diff(key[lo:hi], prepend=-1) != 0
-        tau = key[lo:hi] // len(table)
-        rows = key[lo:hi][first] % len(table)
-        width = int(tau[-1]) + 1
-        atoms = np.full((len(rows), width), np.inf)
-        atoms[np.arange(width) < tau[first][:, None]] = _log_divisors(
-            table.primes(rows), np.take(table.exps, rows, axis=0)
-        )
-        atoms.sort(axis=1)
-        yield lo, hi, atoms, (np.cumsum(first) - 1) * width, tau
+    first = np.diff(key, prepend=-1) != 0
+    tau = key // len(table)
+    rows = key[first] % len(table)
+    width = int(tau[-1]) + 1
+    atoms = np.full((len(rows), width), np.inf)
+    atoms[np.arange(width) < tau[first][:, None]] = _log_divisors(
+        table.primes(rows), np.take(table.exps, rows, axis=0)
+    )
+    atoms.sort(axis=1)
+    return atoms, (np.cumsum(first) - 1) * width, tau
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_map(fn, ranges) -> list:
+    """[fn(r) for r in ranges], on min(usable CPUs, len(ranges)) threads.
+
+    The chunks' NumPy passes release the GIL, and each chunk writes only
+    its own rows.  Results come back in chunk order, and the first chunk
+    in that order to raise is the one whose error is raised, so the
+    outcome does not depend on the thread count.
+    """
+    ranges = list(ranges)
+    workers = min(_usable_cpus(), len(ranges))
+    if workers <= 1:
+        return list(map(fn, ranges))
+    # imported here: concurrent.futures pulls in logging, a cost every
+    # process would otherwise pay at import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, ranges))
 
 
 def _search(
@@ -395,11 +425,13 @@ def _nudged_tails(
     tau = np.prod(np.take(table.exps, row, axis=0).astype(np.int64) + 1, axis=1)
     key = tau * len(table) + row
     order = np.argsort(key, kind="stable")
+    key = key[order]
     tails = np.empty(len(t))
     nudged = np.zeros(len(t), dtype=bool)
-    for lo, hi, atoms, base, n_tau in _atom_chunks(
-        table, key[order], np.ones(len(key), dtype=np.int64)
-    ):
+
+    def nudge(chunk: tuple[int, int]) -> None:
+        lo, hi = chunk
+        atoms, base, n_tau = _chunk_atoms(table, key[lo:hi])
         pick = order[lo:hi]
         n = table.n[row[pick]]
         step = NUDGE_SCALE * np.array([log(v) for v in n.tolist()])
@@ -417,6 +449,8 @@ def _nudged_tails(
             stuck = int(n[np.argmax(moving)])
             raise DomainError(f"could not move query off atoms of n = {stuck}")
         tails[pick] = (n_tau - pos) / n_tau
+
+    _chunk_map(nudge, _key_chunks(key, len(table), np.ones(len(key), dtype=np.int64)))
     return tails, nudged
 
 
@@ -438,8 +472,8 @@ def table_upper_tails(
     The sorted log d of each distinct stem are expanded once, and a binary
     search answers each shifted threshold.  Rows are taken in ascending
     tau(stem), in chunks of at most ATOM_BUDGET padded stem atoms and
-    ATOM_BUDGET shifted thresholds.  _nudged_tails runs the same chunks and
-    search with each n as its own stem.
+    ATOM_BUDGET shifted thresholds, on _chunk_map's threads.  _nudged_tails
+    runs the same chunks and search with each n as its own stem.
 
     np.log(d P^i) and np.log(d) + i log P differ by a few ulps of log n,
     under 1e-13 for n < 2**62.  So where every shifted threshold lies at
@@ -486,10 +520,13 @@ def table_upper_tails(
     tails = np.zeros(t.shape)
     nudged = np.zeros(t.shape, dtype=bool)
     reps = e.astype(np.int64) + 1
-    near_i, near_j = [], []  # the (position in rows, query) pairs flagged
-    for lo, hi, atoms, base, stem_tau in _atom_chunks(
-        table, key, reps[order] * t.shape[1]
-    ):
+    table._slot_primes  # a cached_property: filled here, not raced for in a chunk
+
+    def stem_pass(chunk: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Write the chunk's rows of tails; return its flagged (position in
+        rows, query) pairs."""
+        lo, hi = chunk
+        atoms, base, stem_tau = _chunk_atoms(table, key[lo:hi])
         pick = order[lo:hi]
         # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
         starts = np.cumsum(reps[pick]) - reps[pick]
@@ -501,10 +538,11 @@ def table_upper_tails(
         count = np.add.reduceat(pos, starts, axis=0)
         tails[pick] = count / (stem_tau * reps[pick])[:, None]
         c, j = np.nonzero(np.logical_or.reduceat(gap < 2 * MERGE_TOL, starts, axis=0))
-        near_i.append(pick[c])
-        near_j.append(j)
-    if near_i:
-        i, j = np.concatenate(near_i), np.concatenate(near_j)
+        return pick[c], j
+
+    near = _chunk_map(stem_pass, _key_chunks(key, len(table), reps[order] * t.shape[1]))
+    if near:
+        i, j = (np.concatenate(c) for c in zip(*near))
         tails[i, j], nudged[i, j] = _nudged_tails(table, rows[i], t[i, j])
     tails[np.isnan(t)] = 0.0
     return tails, nudged

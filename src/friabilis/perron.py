@@ -6,6 +6,7 @@ tail approximation, and a truncated contour-integral evaluation of the tail.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,9 +275,10 @@ _GL_Q = 0.5 * (1.0 + _GL_X)  # the nodes' offsets within a unit panel
 # cases and within 9% of 8,192 or 32,768 in the rest; 4,096, 65,536 and
 # 262,144 were slower in every case.
 _CHUNK = 16_384
-# perron_tail_quadrature's three complex node tables, one per row, kept
-# across calls and grown to the largest chunk grid asked for so far
-_workspace = np.empty((3, 0), dtype=np.complex128)
+# perron_tail_quadrature's three complex node tables, one per row, in
+# _workspace.tables: one set per thread, kept across that thread's calls and
+# grown to the largest chunk grid it has asked for so far
+_workspace = threading.local()
 
 
 def _chunk_shape(m: int) -> tuple[int, int]:
@@ -325,13 +327,13 @@ def perron_tail_quadrature(
     outer product, 1 + w, e - 1 Horner steps of a multiply and an add,
     and the multiply into the running product.
 
-    Every node pass writes into three node tables, views of _workspace
-    sized for the larger of the call's two chunk grids (the last chunk's
-    padded grid can be the larger).  The workspace is kept for the process
-    and grown only when a call needs more than it holds: fresh tables would
-    be mapped from the system and page-faulted anew on every call.  So two
-    threads of one process must not run it at once.  The value may differ
-    from the direct grid's in the last bits, by at most 1e-12.
+    Every node pass writes into three node tables, views of the calling
+    thread's workspace sized for the larger of the call's two chunk grids
+    (the last chunk's padded grid can be the larger).  Each thread keeps
+    its workspace across calls and grows it only when a call needs more
+    than it holds: fresh tables would be mapped from the system and
+    page-faulted anew on every call.  The value may differ from the direct
+    grid's in the last bits, by at most 1e-12.
     """
     z = float(z)
     T = float(T)
@@ -370,10 +372,10 @@ def perron_tail_quadrature(
     # the last one, whose padded grid may hold more nodes)
     shapes = map(_chunk_shape, {min(panels, steps), (steps - 1) % panels + 1})
     size = max(4 * block * rows for block, rows in shapes)
-    global _workspace
-    if _workspace.shape[1] < size:
-        _workspace = np.empty((3, size), dtype=np.complex128)
-    w, acc, vals = _workspace[:, :size]
+    tables = getattr(_workspace, "tables", None)
+    if tables is None or tables.shape[1] < size:
+        tables = _workspace.tables = np.empty((3, size), dtype=np.complex128)
+    w, acc, vals = tables[:, :size]
     # the real tables of the last step reuse w and acc, free by then
     u = w.view(np.float64)[:size]
     num, den = acc.view(np.float64)[:size], acc.view(np.float64)[size:]

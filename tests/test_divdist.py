@@ -3,6 +3,9 @@ all checked against sqrt-divisor brute force."""
 
 import itertools
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 from math import isqrt, log
 
@@ -305,19 +308,93 @@ def test_table_upper_tails_of_no_rows():
         assert tails.dtype == np.float64 and nudged.dtype == bool
 
 
-def test_table_upper_tails_on_a_table_without_stems():
-    # every third row of S(1e5, 30): most stems n // P**e are missing, and
-    # such a row is its own stem, with e = 0
+def stemless_case():
+    """Every third row of S(1e5, 30), all its rows, and their queries: most
+    stems n // P**e are missing, and such a row is its own stem, with e = 0."""
     whole = smooth_table(10**5, 30)
     table = SmoothTable(
         n=whole.n[::3], slots=whole.slots[::3], exps=whole.exps[::3], basis=whole.basis
     )
     rows = np.arange(len(table), dtype=np.int64)
-    t = tail_queries(table, rows, seed=13)
+    return table, rows, tail_queries(table, rows, seed=13)
+
+
+def test_table_upper_tails_on_a_table_without_stems():
+    table, rows, t = stemless_case()
     tails, nudged = table_upper_tails(table, rows, t)
     want_tails, want_nudged = per_n_tails(table, rows, t)
     assert np.array_equal(tails, want_tails)
     assert np.array_equal(nudged, want_nudged)
+
+
+def whole_case():
+    """All rows of S(1e5, 30) and their queries."""
+    table = smooth_table(10**5, 30)
+    rows = np.arange(len(table), dtype=np.int64)
+    return table, rows, tail_queries(table, rows, seed=17)
+
+
+@pytest.mark.parametrize("case", [whole_case, stemless_case, nudge_case])
+def test_table_upper_tails_is_the_same_on_any_number_of_threads(case, monkeypatch):
+    # 256 padded atoms a chunk split every pass into dozens of chunks or more,
+    # answered on one thread and on a pool of four
+    table, rows, t = case()
+    want_tails, want_nudged = per_n_tails(table, rows, t)
+    monkeypatch.setattr(divdist, "ATOM_BUDGET", 256)
+    chunks = []
+    chunk_map = divdist._chunk_map
+
+    def spy(fn, ranges):
+        ranges = list(ranges)
+        chunks.append(len(ranges))
+        return chunk_map(fn, ranges)
+
+    monkeypatch.setattr(divdist, "_chunk_map", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (1, 4):
+            monkeypatch.setattr(divdist, "_usable_cpus", lambda: cpus)
+            threads = threading.active_count()
+            tails, nudged = table_upper_tails(table, rows, t)
+            assert threading.active_count() == threads
+            assert np.array_equal(tails, want_tails), cpus
+            assert np.array_equal(nudged, want_nudged), cpus
+            assert min(chunks) >= 24, chunks
+            chunks.clear()
+        # the 64-step give-up names the same n on any number of threads
+        monkeypatch.setattr(divdist, "NUDGE_SCALE", 1e-16)
+        errors = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(divdist, "_usable_cpus", lambda: cpus)
+            with pytest.raises(DomainError, match="could not move query") as err:
+                table_upper_tails(table, rows, t)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_chunk_map_answers_in_chunk_order(monkeypatch):
+    # the first chunk in order to fail is the one reported, even when a
+    # later chunk fails first
+    monkeypatch.setattr(divdist, "_usable_cpus", lambda: 4)
+    ranges = [(k, k + 1) for k in range(8)]
+
+    def fn(chunk):
+        lo, _ = chunk
+        if lo == 1:
+            time.sleep(0.05)
+            raise DomainError("chunk 1")
+        if lo == 3:
+            raise DomainError("chunk 3")
+        return lo
+
+    threads = threading.active_count()
+    assert divdist._chunk_map(lambda chunk: chunk[0], iter(ranges)) == list(range(8))
+    with pytest.raises(DomainError, match="chunk 1"):
+        divdist._chunk_map(fn, ranges)
+    assert threading.active_count() == threads
 
 
 def test_log_divisors_are_far_apart():

@@ -3,6 +3,8 @@ against divisor-sum brute force, finite differences, and quadrature oracles."""
 
 import math
 import random
+import sys
+import threading
 import warnings
 from math import log, pi, sqrt
 
@@ -233,12 +235,38 @@ def test_perron_workspace_reuse_is_exact(monkeypatch):
     grids = [(200.0, 2_000), (200.0, 200_000), (200.0, 20_000), (200.0, 200_000)]
     fresh = []
     for T, steps in grids:
-        monkeypatch.setattr(perron, "_workspace", np.empty((3, 0), dtype=np.complex128))
+        monkeypatch.setattr(perron, "_workspace", threading.local())
         fresh.append(perron_tail_quadrature(f, 0.5, T=T, steps=steps))
-    monkeypatch.setattr(perron, "_workspace", np.empty((3, 0), dtype=np.complex128))
+    monkeypatch.setattr(perron, "_workspace", threading.local())
     reused = [perron_tail_quadrature(f, 0.5, T=T, steps=steps) for T, steps in grids]
     assert reused == fresh
-    assert perron._workspace.shape[1] >= 16_384  # grown once, then kept
+    assert perron._workspace.tables.shape[1] >= 16_384  # grown once, then kept
+
+
+def test_perron_threads_keep_their_own_workspace():
+    # two threads once shared one set of node tables and overwrote each
+    # other's nodes: -28.40 for n = 720720, where the answer is 0.3174
+    cases = [factorize(n) for n in (720720, 223092870, 60, 30030, 9699690, 1024)]
+    serial = [perron_tail_quadrature(f, 0.5, T=200.0, steps=20_000) for f in cases]
+    results = [None, None]
+
+    def work(k):
+        results[k] = [
+            perron_tail_quadrature(f, 0.5, T=200.0, steps=20_000) for f in cases
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial, serial]
 
 
 def oracle_perron_quadrature(f, beta: float, t: float, T: float, steps: int) -> float:
