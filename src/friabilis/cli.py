@@ -61,8 +61,8 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
+        return tuple(_int_arg(part) for part in text.split(",") if part != "")
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
@@ -70,7 +70,7 @@ def _perron_arg(text: str) -> tuple[float, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected T,steps")
-    return float(parts[0]), int(parts[1])
+    return float(parts[0]), _int_arg(parts[1])
 
 
 def _print_aligned(pairs) -> None:

@@ -3,27 +3,27 @@ moments, the full atom list by convolution over prime powers, tail queries
 with a closed >= convention, and the additive statistics the averaged model
 predicts.
 
-Over a SmoothTable, table_moments (for moments, log n and additive_fk)
-and table_upper_tails return, row by row, the same floats as the per-n
-functions, bit for bit.  Both gather table rows along axis 0, with np.take,
-never by advanced indexing of a 2-D array.  table_moments computes only
-the columns its caller names, and performs the same IEEE operations in the
-same order and takes log p from math.log, as the per-n code does, through
-one term per (prime, exponent) for every statistic, all gathered in one
-pass over the slot columns.  table_upper_tails counts the divisors of
-n = m P^e (P its largest prime) from the log d of its stem m shifted by
-i log P, or, where m is not a row of the table, from n's own.  Every
-query that a shifted threshold puts within 2 MERGE_TOL of a stem atom is
-answered again from the full sorted log-divisors of n, nudged as
+Over a SmoothTable, table_moments (log n, the m2 and m4 of moments, and
+additive_fk) and table_upper_tails return, row by row, the same floats as
+the per-n functions, bit for bit.  Both gather table rows along axis 0,
+with np.take, never by advanced indexing of a 2-D array.  table_moments
+computes only the columns its caller asks for, and performs the same IEEE
+operations in the same order and takes log p from math.log, as the per-n
+code does, through one term per (prime, exponent) for every statistic, all
+gathered in one pass over the slot columns.  table_upper_tails counts the
+divisors of n = m P^e (P its largest prime) from the log d of its stem m
+shifted by i log P, or, where m is not a row of the table, from n's own.
+Every query that a shifted threshold puts within 2 MERGE_TOL of a stem
+atom is answered again from the full sorted log-divisors of n, nudged as
 nudge_off_atom would, so float rounding in the shift cannot change a
-count.  One search serves both passes: over chunks of sorted
-log-divisors, expanded once per distinct row, it returns the count of atoms
-below a threshold and the distance to the nearest one.  The stem pass
-flags a distance under 2 MERGE_TOL; the nudge pass, where each flagged n is
-its own stem with no shift, moves a query while it is under MERGE_TOL.
-The chunks of each pass run on one thread per CPU in the process's
-affinity mask; each writes only its own rows and is joined in chunk
-order, so the results are identical for any CPU count.
+count.  One search serves both passes: over chunks of sorted log-divisors,
+expanded once per distinct row, it returns the count of atoms below a
+threshold and the distance to the nearest one.  The stem pass flags a
+distance under 2 MERGE_TOL; the nudge pass, where each flagged n is its
+own stem with no shift, moves a query while it is under MERGE_TOL.  The
+chunks of each pass run on one thread per CPU in the process's affinity
+mask; each writes only its own rows and is joined in chunk order, so the
+results are identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import log, sqrt
 from typing import Iterator
 
@@ -191,27 +190,6 @@ def _prime_logs(table: SmoothTable) -> np.ndarray:
     return np.array([log(p) for p in table.basis.tolist()] + [0.0])
 
 
-class MomentColumns:
-    """The columns table_moments was asked for: log n, m2 and m4 as named,
-    and fk, the f_k for each k asked, equal bit for bit to
-    Factorization.log_n, moments() and additive_fk() row by row.  A column
-    not asked for is absent, and reading it raises AttributeError."""
-
-    def __init__(self, fk: dict[int, np.ndarray], **named: np.ndarray):
-        self.fk = fk
-        vars(self).update(named)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.sqrt(self.m2)
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        """m2 * m2 / m4 where m4 > 0, exactly the rows with a factor; else 1."""
-        m4 = self.m4
-        return np.divide(self.m2 * self.m2, m4, out=np.ones(len(m4)), where=m4 > 0)
-
-
 def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.ndarray:
     """slots[:, j] * width + exps[:, j]: each row's (basis index, exponent)
     in slot column j, as a flat index into a table of width exponents per
@@ -222,22 +200,22 @@ def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.n
     return index
 
 
-def table_moments(table: SmoothTable, rows, names=(), fk=()) -> MomentColumns:
-    """The columns named in names, of "log_n", "m2" and "m4" (moments()
-    less tau and t_max), and additive_fk(f, k) for each k in fk, for the
-    given rows (an index array or a slice), in their order, in one pass
-    over the slot columns.
+def table_moments(table: SmoothTable, rows, columns) -> dict[str | int, np.ndarray]:
+    """{column: float64 array} for the given rows (an index array or a
+    slice), in their order: one key per distinct column asked, in the order
+    first asked.  A column is "log_n", "m2" or "m4" (Factorization.log_n and
+    moments()) or an int k in 0..8 (additive_fk(f, k)), each bit for bit;
+    anything else raises DomainError.
 
     Each term of the per-n loops is computed once per (basis index,
-    exponent), by the same IEEE operations, and each column's flat index
-    gathers it into every sum.  f_k terms are raised by Python's float pow,
-    as additive_fk does, for each e >= 1 up to one past log_p of the
-    largest n; at k = 0 each is 1.0, so f_0 sums to omega.  Padding slots
-    (log p = 0.0, e = 0) add exactly 0.0 to each sum, so summing all
-    columns from 0 repeats the per-n loops over the real factors.
+    exponent), for the columns asked, by the same IEEE operations, and one
+    pass over the slot columns gathers it into every sum.  f_k terms are
+    raised by Python's float pow, as additive_fk does, for each e >= 1 up to
+    one past log_p of the largest n; at k = 0 each is 1.0, so f_0 sums to
+    omega.  Padding slots (log p = 0.0, e = 0) add exactly 0.0 to each sum,
+    so summing all columns from 0 repeats the per-n loops over the real
+    factors.
     """
-    if any(not 0 <= k <= 8 for k in fk):
-        raise DomainError("k must lie in [0, 8]")
     if isinstance(rows, slice):
         slots, exps = table.slots[rows], table.exps[rows]
     else:
@@ -247,37 +225,38 @@ def table_moments(table: SmoothTable, rows, names=(), fk=()) -> MomentColumns:
     lp2 = lp * lp
     width = int(exps.max(initial=0)) + 1
     e = np.arange(width, dtype=np.int64)
-    moment_terms = {
-        "log_n": e * lp,
-        "m2": e * (e + 2) * lp2,
-        "m4": e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2,
-    }
-    if not set(names) <= moment_terms.keys():
-        raise DomainError(f"names must be among {list(moment_terms)}, got {names}")
-    named = [name for name in moment_terms if name in names]
-    terms = [moment_terms[name].ravel() for name in named]
-    powers = sorted(set(fk))
     top = log(int(table.n[-1]))
     pairs = [
         (i * width + e, e * log_p)
         for i, log_p in enumerate(logs[:-1].tolist())
         for e in range(1, min(int(top / log_p) + 2, width))
     ]
-    for k in powers:
-        term = np.zeros(logs.size * width)
-        term[[i for i, _ in pairs]] = [b**k for _, b in pairs]
-        terms.append(term)
+    asked = list(dict.fromkeys(columns))
+    terms = []
+    for c in asked:
+        if c == "log_n":
+            term = e * lp
+        elif c == "m2":
+            term = e * (e + 2) * lp2
+        elif c == "m4":
+            term = e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2
+        elif isinstance(c, int) and 0 <= c <= 8:
+            term = np.zeros(logs.size * width)
+            term[[i for i, _ in pairs]] = [b**c for _, b in pairs]
+        else:
+            raise DomainError(f'a column is "log_n", "m2", "m4" or k in 0..8, not {c!r}')
+        terms.append(term.ravel())
     sums = np.zeros((len(terms), len(exps)))
     for j in range(exps.shape[1]):
         index = _term_index(slots, exps, j, width)
         for total, term in zip(sums, terms):
             total += np.take(term, index)
-    columns = dict(zip(named, sums))
-    if "m2" in columns:
-        columns["m2"] /= 12.0
-    if "m4" in columns:
-        columns["m4"] /= 240.0
-    return MomentColumns(fk=dict(zip(powers, sums[len(named):])), **columns)
+    out = dict(zip(asked, sums))
+    if "m2" in out:
+        out["m2"] /= 12.0
+    if "m4" in out:
+        out["m4"] /= 240.0
+    return out
 
 
 def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:

@@ -155,8 +155,8 @@ def run_clt(config: CltRunConfig) -> RunResult:
     if sampled:
         ranks = sorted(random.Random(config.seed).sample(ranks, config.sample_cap))
     picked = np.array(ranks, dtype=np.int64)
-    mom = table_moments(table, picked, ("log_n", "m2", "m4"))
-    w = mom.w
+    log_n, m2, m4 = table_moments(table, picked, ("log_n", "m2", "m4")).values()
+    w = np.divide(m2 * m2, m4, out=np.ones(len(m4)), where=m4 > 0)
 
     zs = config.z_grid
     z_col = np.array(zs)
@@ -164,7 +164,8 @@ def run_clt(config: CltRunConfig) -> RunResult:
     active = (z_col[None, :] <= z_cap[:, None]) & (w >= config.w_min)[:, None]
     tested = active.any(axis=1)  # only these n need their divisor law
     picked, w, active = picked[tested], w[tested], active[tested]
-    t = 0.5 * mom.log_n[tested][:, None] + z_col[None, :] * mom.sigma[tested][:, None]
+    sigma = np.sqrt(m2[tested])
+    t = 0.5 * log_n[tested][:, None] + z_col[None, :] * sigma[:, None]
     tails, nudged = table_upper_tails(table, picked, np.where(active, t, np.nan))
 
     rows = []
@@ -242,8 +243,8 @@ def run_average(config: AverageRunConfig) -> RunResult:
     zs = config.z_grid
     table = smooth_table(config.x, config.y)
     count = len(table)
-    mom = table_moments(table, slice(None), ("log_n",))
-    t = 0.5 * mom.log_n[:, None] + np.array(zs)[None, :] * sigma_bar
+    log_n = table_moments(table, slice(None), ("log_n",))["log_n"]
+    t = 0.5 * log_n[:, None] + np.array(zs)[None, :] * sigma_bar
     tails, nudged = table_upper_tails(table, np.arange(count), t)
     # cumsum adds in n order, one term at a time, as a running total would
     sums = [float(np.cumsum(tails[:, i])[-1]) for i in range(len(zs))]
@@ -324,13 +325,13 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
     model_means = {k: model_mean_additive(ctx, k) for k in config.k_list}
 
     table = smooth_table(config.x, config.y)
-    mom = table_moments(table, slice(None), ("m2",), fk=config.k_list)
+    mom = table_moments(table, slice(None), ("m2", *config.k_list))
     # row 0 is n = 1, which has no spread
-    sigma_ratios = mom.sigma[1:] / sigma_bar
+    sigma_ratios = np.sqrt(mom["m2"][1:]) / sigma_bar
 
     rows = []
     for k in config.k_list:
-        dev = mom.fk[k] / model_means[k]
+        dev = mom[k] / model_means[k]
         dev -= 1.0
         np.abs(dev, out=dev)
         for d in config.thresholds:

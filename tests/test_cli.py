@@ -5,6 +5,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,35 @@ def test_tail_perron_rejects_bad_T(capsys, T):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv,shorthand,plain",
+    [
+        (("tail", "--n", "60", "--z", "0.5", "--perron"), "200,2e4", "200,20000"),
+        (("concentration", "--x", "1e4", "--y", "30", "--k-list"), "0,1e0,2", "0,1,2"),
+    ],
+    ids=["perron-steps", "k-list"],
+)
+def test_int_list_parts_take_shorthand(argv, shorthand, plain, capsys):
+    code, out, _ = run_cli(capsys, *argv, shorthand)
+    assert code == 0
+    assert run_cli(capsys, *argv, plain) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tail", "--n", "60", "--z", "0.5", "--perron", "200,2.5"),
+        ("concentration", "--x", "1e4", "--y", "30", "--k-list", "1.5"),
+    ],
+    ids=["perron-steps", "k-list"],
+)
+def test_int_list_parts_refuse_fractions(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(argv))
+    assert exit_.value.code == 2
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -416,6 +449,27 @@ def test_benchmark_csv_digest(argv, digest, stdout_digest, tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+def test_closed_pipe_exits_1_quietly():
+    # `friabilis divdist --n 963761198400 --atoms | head -1`: 6,720 atoms,
+    # ~170 KB of CSV, more than a pipe buffer holds, so the write after the
+    # reader goes is refused
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "friabilis.cli", "divdist", "--n", "963761198400", "--atoms"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert proc.stdout.readline() == b"# schema=1\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_unknown_command():

@@ -3,6 +3,7 @@ all checked against sqrt-divisor brute force."""
 
 import itertools
 import math
+import os
 import sys
 import threading
 import time
@@ -30,7 +31,7 @@ from friabilis.errors import DomainError, ResourceLimitError
 from friabilis.saddle import make_context
 
 INTERESTING = [2, 4, 6, 12, 36, 60, 97, 1024, 30030, 720720, 9699690]
-MOMENT_NAMES = ("log_n", "m2", "m4")  # every column table_moments can name
+MOMENT_NAMES = ("log_n", "m2", "m4")  # every column of table_moments but the f_k
 
 
 def brute_divisors(n: int) -> list[int]:
@@ -206,8 +207,8 @@ def tail_queries(table, rows, seed):
     rng = np.random.default_rng(seed)
     mom = table_moments(table, rows, ("log_n", "m2"))
     z = rng.uniform(-1.5, 1.5, (len(rows), 5))
-    t = 0.5 * mom.log_n[:, None] + z * mom.sigma[:, None]
-    t[:, 0] = 0.5 * mom.log_n
+    t = 0.5 * mom["log_n"][:, None] + z * np.sqrt(mom["m2"])[:, None]
+    t[:, 0] = 0.5 * mom["log_n"]
     for a, row in enumerate(rows.tolist()):
         values = exact_law(factorize(int(table.n[row]))).values
         t[a, 3] = values[rng.integers(len(values))]
@@ -375,6 +376,14 @@ def test_table_upper_tails_is_the_same_on_any_number_of_threads(case, monkeypatc
         sys.setswitchinterval(interval)
 
 
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    # where os.sched_getaffinity does not exist, os.cpu_count() decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert divdist._usable_cpus() == want
+
+
 def test_chunk_map_answers_in_chunk_order(monkeypatch):
     # the first chunk in order to fail is the one reported, even when a
     # later chunk fails first
@@ -427,42 +436,24 @@ def test_table_terms_match_per_n(x, y, slot_dtype, top):
     # primes take only e = 1, so the pow bound decides which f_k terms exist
     table = smooth_table(x, y)
     assert table.slots.dtype == slot_dtype and table.exps.max() == top
-    mom = table_moments(table, slice(None), MOMENT_NAMES, fk=range(9))
-    assert sorted(mom.fk) == list(range(9))
-    w = mom.w
+    mom = table_moments(table, slice(None), (*MOMENT_NAMES, *range(9)))
+    assert list(mom) == [*MOMENT_NAMES, *range(9)]
+    log_n, m2, m4, *fk = mom.values()
     for i, f in enumerate(table.factorizations()):
         want = moments(f)
-        got = (mom.log_n[i], mom.m2[i], mom.m4[i], w[i])
-        assert got == (f.log_n, want.m2, want.m4, want.w), f.n
-        assert [mom.fk[k][i] for k in range(9)] == [additive_fk(f, k) for k in range(9)], f.n
+        assert (log_n[i], m2[i], m4[i]) == (f.log_n, want.m2, want.m4), f.n
+        assert [column[i] for column in fk] == [additive_fk(f, k) for k in range(9)], f.n
 
 
 def test_table_moments_of_some_rows_are_those_of_all_rows():
     table = smooth_table(10**5, 30)
-    full = table_moments(table, slice(None), MOMENT_NAMES, fk=range(9))
+    full = table_moments(table, slice(None), (*MOMENT_NAMES, *range(9)))
     rows = np.random.default_rng(5).choice(len(table), 500, replace=False)
     for picked in (rows, slice(1, None), np.arange(0)):
-        part = table_moments(table, picked, MOMENT_NAMES, fk=(8, 0, 3))
-        for name in ("log_n", "m2", "m4", "w"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[picked])
-        assert sorted(part.fk) == [0, 3, 8]
-        for k, column in part.fk.items():
-            assert np.array_equal(column, full.fk[k][picked])
-
-
-def test_table_moments_fk_requests():
-    table = smooth_table(2 * 10**4, 2 * 10**4)
-    full = table_moments(table, slice(None), fk=range(9))
-    assert table_moments(table, slice(None)).fk == {}
-    omega = table_moments(table, slice(None), fk=(0,)).fk
-    assert list(omega) == [0] and np.array_equal(omega[0], full.fk[0])
-    twice = table_moments(table, slice(None), fk=(2, 0, 2, 5, 0)).fk
-    assert sorted(twice) == [0, 2, 5]
-    for k, column in twice.items():
-        assert np.array_equal(column, full.fk[k])
-    for bad in ((9,), (1, -1)):
-        with pytest.raises(DomainError):
-            table_moments(table, slice(None), fk=bad)
+        part = table_moments(table, picked, (*MOMENT_NAMES, 8, 0, 3))
+        assert list(part) == [*MOMENT_NAMES, 8, 0, 3]
+        for column, values in part.items():
+            assert np.array_equal(values, full[column][picked])
 
 
 @pytest.mark.parametrize(
@@ -470,38 +461,27 @@ def test_table_moments_fk_requests():
     [(10**5, 30, np.uint8), (2 * 10**4, 2 * 10**4, np.uint16)],
     ids=["S(1e5,30)", "S(2e4,2e4)"],
 )
-def test_table_moments_computes_only_the_named_columns(x, y, slot_dtype):
+def test_table_moments_computes_only_the_columns_asked(x, y, slot_dtype):
+    # one key per distinct column, in the order first asked, and no other
     table = smooth_table(x, y)
     assert table.slots.dtype == slot_dtype
-    full = table_moments(table, slice(None), MOMENT_NAMES)
+    full = table_moments(table, slice(None), (*MOMENT_NAMES, *range(9)))
     rows = np.random.default_rng(7).choice(len(table), 300, replace=False)
-    for names in itertools.chain.from_iterable(
-        itertools.combinations(MOMENT_NAMES, r) for r in range(4)
-    ):
+    requests = [
+        (names, list(names))
+        for r in range(4)
+        for names in itertools.combinations(MOMENT_NAMES, r)
+    ]
+    requests += [((0,), [0]), ((2, 0, 2, 5, 0), [2, 0, 5]), (("m2", 1, "m2"), ["m2", 1])]
+    for columns, keys in requests:
         for picked in (slice(1, None), rows, np.arange(0)):
-            part = table_moments(table, picked, names)
-            for name in MOMENT_NAMES:
-                if name in names:
-                    want = getattr(full, name)[picked]
-                    assert np.array_equal(getattr(part, name), want)
-                else:
-                    with pytest.raises(AttributeError):
-                        getattr(part, name)
-            if "m2" not in names:
-                with pytest.raises(AttributeError):
-                    part.sigma
-            if "m4" not in names:
-                with pytest.raises(AttributeError):
-                    part.w
-    for bad in (("m3",), ("log_n", "sigma"), "m2"):
+            part = table_moments(table, picked, columns)
+            assert list(part) == keys
+            for column, values in part.items():
+                assert np.array_equal(values, full[column][picked])
+    for bad in (("m3",), ("log_n", "sigma"), "m2", (9,), (1, -1)):
         with pytest.raises(DomainError):
             table_moments(table, slice(None), bad)
-
-
-def test_moment_columns_w_is_computed_once():
-    mom = table_moments(smooth_table(10**4, 30), slice(None), ("m2", "m4"))
-    w = mom.w
-    assert mom.w is w  # not a column built again on each read
 
 
 def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):
