@@ -15,7 +15,7 @@ from math import atan, erfc, exp, isfinite, isqrt, log, pi, sqrt
 import numpy as np
 
 from friabilis.arith import Factorization, factorize
-from friabilis.divdist import exact_law, moments, nudge_off_atom
+from friabilis.divdist import MERGE_TOL, exact_law, moments, nudge_off_atom
 from friabilis.errors import ConvergenceError, DomainError
 
 _SQRT2 = sqrt(2.0)
@@ -275,9 +275,15 @@ _GL_Q = 0.5 * (1.0 + _GL_X)  # the nodes' offsets within a unit panel
 # cases and within 9% of 8,192 or 32,768 in the rest; 4,096, 65,536 and
 # 262,144 were slower in every case.
 _CHUNK = 16_384
+# Largest divisor count of a group of prime powers, the inner size of its
+# matrix products.  Swept over 4-32 at T = 200, 20,000 steps on the 300
+# pointwise queries of seeds 1-3: 16 tied 6, 24 and 32 for the lowest
+# median; 8 and 12 were 4% slower there and 12% faster for tau > 16.
+_GROUP_TAU = 16
 # perron_tail_quadrature's three complex node tables, one per row, in
 # _workspace.tables: one set per thread, kept across that thread's calls and
-# grown to the largest chunk grid it has asked for so far
+# grown to the largest chunk grid it has asked for so far, since fresh tables
+# would be mapped from the system and page-faulted anew on every call
 _workspace = threading.local()
 
 
@@ -306,34 +312,32 @@ def perron_tail_quadrature(
     wavelength, and warns when they are not.  T must be finite and >= 1,
     z must be positive (beta = 0 puts the contour on the pole) and the
     query point t, half log n + z sigma unless given (see solve_beta), must
-    not be an atom.
+    not be an atom: within MERGE_TOL of a log-divisor, as nudge_off_atom
+    decides it.
 
     The panels integrate Re((V - v0)/s), with V = tau Z(s) e^{-ts} and v0
     its real value at s = beta, and the pole term v0 atan(T / beta) is added
     in closed form: V' = 0 there, so the remainder is smooth at Im s = 0
     even where beta is far below the panel width and 1/s peaks too sharply.
 
-    The node exponentials are separable tables.  The nodes of panel
-    k = start + B a + b sit at Im s = h (k + q_j), with panel width h and
-    Gauss offsets q_j, so every factor e^{cs} of the integrand (p^s for
-    each prime, and e^{-ts}) is e^{c (beta + i h (start + B a))} times
-    e^{i c h (b + q_j)}: an outer product of two tables of about
-    2 sqrt(m) entries each for a chunk of m panels, with B near sqrt(m)/2.
-    That is O(sqrt(steps)) complex exps per prime (per chunk of at most
-    _CHUNK/4 panels), where a direct grid takes one complex exp per node
-    and prime.  The per-offset tables depend only on the chunk's shape, so
-    they are made once for the full chunks and once for a shorter last one.
-    A prime with exponent e then costs 2e + 1 passes over the nodes: the
-    outer product, 1 + w, e - 1 Horner steps of a multiply and an add,
-    and the multiply into the running product.
+    V is the divisor sum, sum over d | n of e^{(log d - t) s}, taken as a
+    product over groups of prime powers with at most _GROUP_TAU divisors
+    each.  Node j of panel k = start + B a + b sits at Im s = h (k + q_j),
+    with panel width h, Gauss offsets q_j and B near sqrt(m)/2 for a chunk
+    of m panels.  So over a group's log-divisors l, its factor at node
+    (a, (b, j)) is R[a, :] . C[:, (b, j)], where R = e^{l beta + i l h
+    (start + B a)} and C = e^{i l h (b + q_j)}: one matrix product over the
+    chunk's node grid.  C, and R at start = 0, are made once per chunk
+    shape; each chunk turns R by tau_g phases e^{i l h start}.  The sum of
+    w Re((V - v0)/s) over the nodes is Re sum V g - v0 Re sum g, where
+    g = w/s (zero past the chunk's 4 m nodes) takes every group's factor
+    but the last, and the last is contracted as Re sum R * (g C^T), never
+    formed.  A chunk costs one g table and one matrix product per group.
 
-    Every node pass writes into three node tables, views of the calling
-    thread's workspace sized for the larger of the call's two chunk grids
-    (the last chunk's padded grid can be the larger).  Each thread keeps
-    its workspace across calls and grows it only when a call needs more
-    than it holds: fresh tables would be mapped from the system and
-    page-faulted anew on every call.  The value may differ from the direct
-    grid's in the last bits, by at most 1e-12.
+    g, the running product and the real tables of Im s are views of the
+    calling thread's workspace (see _workspace), sized for the larger of the
+    call's two chunk grids.  The value may differ from the direct grid's in
+    the last bits, by at most 1e-12.
     """
     z = float(z)
     T = float(T)
@@ -348,9 +352,9 @@ def perron_tail_quadrature(
     if mom.m2 == 0.0:
         raise DomainError("n = 1 has a degenerate law")
     t = 0.5 * f.log_n + z * mom.sigma if t is None else float(t)
-    # an atom at the query point makes the truncated integral ill-posed
-    d0 = round(exp(t))
-    if d0 >= 1 and f.n % d0 == 0 and abs(log(d0) - t) < 1e-12:
+    law = exact_law(f)  # an atom at t makes the truncated integral ill-posed
+    if law.nearest_atom_gap(t) < MERGE_TOL:
+        d0 = law.divisors[np.abs(law.values - t).argmin()]
         raise DomainError(f"query t = {t} collides with the atom log {d0}")
     beta = solve_beta(f, z, t=t)
 
@@ -367,7 +371,12 @@ def perron_tail_quadrature(
     v0 = _geometric_product(f, (p**beta for p, _ in f.factors)) * exp(-t * beta)
     total = 0.0
     panels = max(1, _CHUNK // 4)
-    cs = [log(p) for p, _ in f.factors] + [-t]  # e^{cs}: p^s for each prime, e^{-ts}
+    # the log-divisors of each group of prime powers; e^{-ts} rides in the first
+    groups = [np.array([-t])]
+    for p, e in f.factors:
+        if 1 < len(groups[-1]) and len(groups[-1]) * (e + 1) > _GROUP_TAU:
+            groups.append(np.zeros(1))  # a prime power wider than that stays alone
+        groups[-1] = np.add.outer(groups[-1], log(p) * np.arange(e + 1)).ravel()
     # node tables for the larger of the two chunk shapes (a full chunk and
     # the last one, whose padded grid may hold more nodes)
     shapes = map(_chunk_shape, {min(panels, steps), (steps - 1) % panels + 1})
@@ -375,44 +384,34 @@ def perron_tail_quadrature(
     tables = getattr(_workspace, "tables", None)
     if tables is None or tables.shape[1] < size:
         tables = _workspace.tables = np.empty((3, size), dtype=np.complex128)
-    w, acc, vals = tables[:, :size]
-    # the real tables of the last step reuse w and acc, free by then
-    u = w.view(np.float64)[:size]
-    num, den = acc.view(np.float64)[:size], acc.view(np.float64)[size:]
+    g, prod, real = tables[:, :size]
+    u, q = real.view(np.float64)[:size], real.view(np.float64)[size:]
     m_shape = 0
     for start in range(0, steps, panels):
         m = min(panels, steps - start)
-        if m != m_shape:  # the per-offset tables depend on the chunk shape alone
+        if m != m_shape:  # C and R at start = 0 depend on the chunk shape alone
             m_shape = m
             block, rows = _chunk_shape(m)
             col_u = panel * (np.arange(block, dtype=np.float64)[:, None] + _GL_Q).ravel()
-            cols = [np.exp(1j * (c * col_u)) for c in cs]
-            grid = (rows, 4 * block)
-            W, A, V, U = (a[: rows * 4 * block].reshape(grid) for a in (w, acc, vals, u))
-        row_u = panel * (start + block * np.arange(rows, dtype=np.float64))
-        row_tabs = [np.exp(c * beta + 1j * (c * row_u))[:, None] for c in cs]
-        # e^{cs} at every node is the outer product of row_tabs[j] and cols[j]
-        for j, (_, e) in enumerate(f.factors):
-            np.multiply(row_tabs[j], cols[j], out=W)
-            # Horner, 1 + w (1 + w (... (1 + w))); the first prime's goes into V
-            horner = A if j else V
-            np.add(W, 1.0, out=horner)
-            for _ in range(e - 1):
-                horner *= W
-                horner += 1.0
-            if j:
-                V *= A
-        V *= np.multiply(row_tabs[-1], cols[-1], out=W)
-        np.add(row_u[:, None], col_u, out=U)
-        # Re((vals - v0) / s) with s = beta + i u, cutting the last row at the chunk
-        v, uu = vals[: 4 * m], u[: 4 * m]
-        re = np.subtract(v.real, v0, out=num[: 4 * m])
-        re *= beta
-        re += np.multiply(v.imag, uu, out=den[: 4 * m])
-        sq = np.multiply(uu, uu, out=den[: 4 * m])
-        sq += beta * beta
-        re /= sq
-        total += float((re.reshape(m, 4) @ _GL_W).sum())
+            row_u = panel * block * np.arange(rows, dtype=np.float64)
+            cs = [np.exp(np.multiply.outer(1j * l, col_u)) for l in groups]
+            rs = [np.exp(np.multiply.outer(beta + 1j * row_u, l)) for l in groups]
+            weights = np.tile(_GL_W, block)
+            G, P, U, Q = (a[: rows * 4 * block].reshape(rows, -1) for a in (g, prod, u, q))
+        # g = w/s = w (beta - i u)/(beta^2 + u^2); U holds -u
+        np.subtract(-panel * start - row_u[:, None], col_u, out=U)
+        np.multiply(U, U, out=Q)
+        Q += beta * beta
+        np.divide(weights, Q, out=Q)
+        q[4 * m : Q.size] = 0.0  # the last row's nodes past the chunk
+        np.multiply(Q, beta, out=G.real)
+        np.multiply(Q, U, out=G.imag)
+        phases = [np.exp((1j * panel * start) * l) for l in groups]
+        for r, c, phase in zip(rs[:-1], cs, phases):
+            G *= np.matmul(r * phase, c, out=P)
+        # sum over nodes of G (R C) for the last group is sum of R * (G C^T)
+        last = (rs[-1] * (G @ cs[-1].T)).sum(axis=0) @ phases[-1]
+        total += float(last.real - v0 * beta * Q.sum())
     return (0.5 * panel * total + v0 * atan(T / beta)) / (pi * f.tau)
 
 

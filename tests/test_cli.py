@@ -472,6 +472,26 @@ def test_closed_pipe_exits_1_quietly():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_tail_perron_is_the_same_for_any_blas_thread_count():
+    # the contour's matrix products run in BLAS, whose thread count must not
+    # change a byte; tau = 6,720 gives four groups of prime powers
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["tail", "--n", "963761198400", "--z", "0.7", "--perron", "200,20000"]
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "friabilis.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            timeout=120,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert json.loads(outs[0])["perron"] is not None
+    assert outs[0] == outs[1]
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -228,6 +228,18 @@ def test_perron_guards():
         perron_tail_quadrature(f6, z_hit)
 
 
+def test_perron_refuses_every_atom_of_a_large_n():
+    # the guard once rounded exp(t) to find the atom, which past ~6e14 is
+    # off by hundreds: the atoms at 3^31 .. 3^37 of 3^38 went through
+    f = factorize(3**38)
+    law = exact_law(f)
+    half, sigma = 0.5 * f.log_n, moments(f).sigma
+    for k in range(20, 38):
+        t = float(law.values[k])  # log 3^k
+        with pytest.raises(DomainError, match="collides with the atom"):
+            perron_tail_quadrature(f, (t - half) / sigma, T=200.0, steps=2_000, t=t)
+
+
 def test_perron_workspace_reuse_is_exact(monkeypatch):
     # each call returns exactly what it returns on an empty workspace, after
     # calls on other grids have grown it and left their nodes in it
@@ -270,9 +282,9 @@ def test_perron_threads_keep_their_own_workspace():
 
 
 def oracle_perron_quadrature(f, beta: float, t: float, T: float, steps: int) -> float:
-    """The direct-grid contour sum the separable tables replaced, sharing no
-    code with them: one complex exp per node for every prime and for e^{-ts},
-    in chunks of 62,500 panels.  The integrand's value v0 at s = beta is
+    """The direct-grid contour sum, sharing no code with
+    perron_tail_quadrature: one complex exp per node for every prime and for
+    e^{-ts}, in chunks of 62,500 panels.  The integrand's value v0 at s = beta is
     taken out of the panels, and its pole integral over [0, T],
     v0 atan(T / beta), is added in closed form."""
 
@@ -320,8 +332,32 @@ def _seeded_factorizations() -> list[Factorization]:
     return out
 
 
-@pytest.mark.parametrize("f", _seeded_factorizations(), ids=lambda f: str(f.n))
-def test_perron_matches_direct_grid_oracle(f):
+def _group_edge_cases():
+    # (f, z, largest steps) at the edges of perron's groups of prime powers:
+    # a lone prime power wider than _GROUP_TAU (2^40, tau = 41), alone and
+    # before a second group; a group of exactly _GROUP_TAU divisors before a
+    # second group; four groups (tau = 6,720); and z at 0.98 of the
+    # supremum, where beta is 3.2
+    near_sup = factorize(720720)
+    return [
+        pytest.param(Factorization(((2, 40),)), 0.5, 200_000, id="2^40"),
+        pytest.param(Factorization(((2, 40), (3, 1))), 0.5, 200_000, id="2^40*3"),
+        pytest.param(
+            Factorization(((2, perron._GROUP_TAU - 1), (3, 1))), 0.5, 200_000, id="tau_g-edge"
+        ),
+        pytest.param(factorize(963761198400), 0.5, 20_000, id="963761198400"),
+        pytest.param(
+            near_sup, 0.98 * tail_quantile_domain(near_sup), 200_000, id="720720-near-sup"
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "f, z, max_steps",
+    [pytest.param(f, 0.5, 200_000, id=str(f.n)) for f in _seeded_factorizations()]
+    + _group_edge_cases(),
+)
+def test_perron_matches_direct_grid_oracle(f, z, max_steps):
     # steps give one-panel rows (1, 7), a partial last row (255, 257), an
     # exact fit (256), a chunk of 4,096 panels and one more panel (4,097),
     # and 5 to 32 chunks, then the acceptance size T = 200, 200,000 steps.
@@ -329,17 +365,19 @@ def test_perron_matches_direct_grid_oracle(f):
     # pads to 133 rows of 31 panels, 16,492 nodes, more than a full chunk's
     # 16,384: the workspace must hold it
     mom = moments(f)
-    t, _ = nudge_off_atom(exact_law(f), 0.5 * f.log_n + 0.5 * mom.sigma)
-    beta = solve_beta(f, 0.5, t=t)
+    t, _ = nudge_off_atom(exact_law(f), 0.5 * f.log_n + z * mom.sigma)
+    beta = solve_beta(f, z, t=t)
     grid = [
         (T, steps)
         for T in (50.0, 200.0)
         for steps in (1, 7, 255, 256, 257, 4_095, 4_097, 8_191, 20_000, 62_501, 130_000)
     ]
     for T, steps in grid + [(200.0, 200_000)]:
+        if steps > max_steps:
+            continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # coarse panels
-            got = perron_tail_quadrature(f, 0.5, T=T, steps=steps, t=t)
+            got = perron_tail_quadrature(f, z, T=T, steps=steps, t=t)
         want = oracle_perron_quadrature(f, beta, t, T, steps)
         assert abs(got - want) <= 1e-12, (T, steps, got, want)
 
