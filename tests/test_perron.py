@@ -1,5 +1,6 @@
-"""MGF, tilt solver, tilted-Gaussian tail, and contour quadrature, checked
-against divisor-sum brute force, finite differences, and quadrature oracles."""
+"""MGF, tilt solver, tilted-Gaussian tail, and contour tail with its E1,
+checked against divisor-sum brute force, finite differences, quadrature
+oracles and SciPy's E1."""
 
 import math
 import random
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from friabilis import perron
 from friabilis.arith import Factorization, factorize
-from friabilis.divdist import exact_law, moments, nudge_off_atom
+from friabilis.divdist import MERGE_TOL, exact_law, moments, nudge_off_atom
 from friabilis.errors import DomainError
 from friabilis.perron import (
     gaussian_tail,
@@ -240,24 +242,10 @@ def test_perron_refuses_every_atom_of_a_large_n():
             perron_tail_quadrature(f, (t - half) / sigma, T=200.0, steps=2_000, t=t)
 
 
-def test_perron_workspace_reuse_is_exact(monkeypatch):
-    # each call returns exactly what it returns on an empty workspace, after
-    # calls on other grids have grown it and left their nodes in it
-    f = factorize(720720)
-    grids = [(200.0, 2_000), (200.0, 200_000), (200.0, 20_000), (200.0, 200_000)]
-    fresh = []
-    for T, steps in grids:
-        monkeypatch.setattr(perron, "_workspace", threading.local())
-        fresh.append(perron_tail_quadrature(f, 0.5, T=T, steps=steps))
-    monkeypatch.setattr(perron, "_workspace", threading.local())
-    reused = [perron_tail_quadrature(f, 0.5, T=T, steps=steps) for T, steps in grids]
-    assert reused == fresh
-    assert perron._workspace.tables.shape[1] >= 16_384  # grown once, then kept
-
-
 def test_perron_threads_keep_their_own_workspace():
-    # two threads once shared one set of node tables and overwrote each
-    # other's nodes: -28.40 for n = 720720, where the answer is 0.3174
+    # calls on two threads at once give the serial answers; an earlier
+    # quadrature shared its node tables between threads and returned -28.40
+    # for n = 720720, where the answer is 0.3174
     cases = [factorize(n) for n in (720720, 223092870, 60, 30030, 9699690, 1024)]
     serial = [perron_tail_quadrature(f, 0.5, T=200.0, steps=20_000) for f in cases]
     results = [None, None]
@@ -279,6 +267,40 @@ def test_perron_threads_keep_their_own_workspace():
     finally:
         sys.setswitchinterval(interval)
     assert results == [serial, serial]
+
+
+# SciPy's own E1 is off by up to 5.5e-13 near the positive real axis at
+# |z| = 3-5, where it sums the power series.  The grids below differ from
+# it by at most 5.3e-13 and 3.7e-13, both at such points, where _exp1 is
+# within 1e-16 of mpmath
+EXP1_REL = 1e-12
+
+
+def test_exp1_matches_scipy_on_a_grid():
+    # |z| log-uniform over [1e-10, 1e5] in every direction, where e^{-z} is
+    # a normal double
+    rng = np.random.default_rng(2016)
+    z = np.exp(rng.uniform(log(1e-10), log(1e5), 20_000) + 1j * rng.uniform(-pi, pi, 20_000))
+    z = z[np.abs(z.real) <= 600.0]
+    got, want = perron._exp1(z), exp1(z)
+    assert np.all(np.abs(got - want) <= EXP1_REL * np.abs(want))
+
+
+def test_exp1_matches_scipy_on_the_contour():
+    # the arguments -l (beta + iT) the contour passes to E1, computed with
+    # overflow, invalid values and division by zero raised as errors:
+    # e^{l beta} <= tau there, so nothing may overflow
+    rng = np.random.default_rng(21)
+    size = 20_000
+    T = np.exp(rng.uniform(0.0, log(200.0), size))
+    beta = rng.uniform(0.0, 3.2, size)
+    lam = np.exp(rng.uniform(log(MERGE_TOL), log(43.0), size)) * rng.choice([-1.0, 1.0], size)
+    z = -lam * (beta + 1j * T)
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+        warnings.simplefilter("error")
+        got = perron._exp1(z)
+    want = exp1(z)
+    assert np.all(np.abs(got - want) <= EXP1_REL * np.abs(want))
 
 
 def oracle_perron_quadrature(f, beta: float, t: float, T: float, steps: int) -> float:
@@ -332,54 +354,49 @@ def _seeded_factorizations() -> list[Factorization]:
     return out
 
 
-def _group_edge_cases():
-    # (f, z, largest steps) at the edges of perron's groups of prime powers:
-    # a lone prime power wider than _GROUP_TAU (2^40, tau = 41), alone and
-    # before a second group; a group of exactly _GROUP_TAU divisors before a
-    # second group; four groups (tau = 6,720); and z at 0.98 of the
-    # supremum, where beta is 3.2
+def _edge_cases():
+    # (f, z): a prime power of 41 divisors, alone and times 3; 2^15 * 3,
+    # whose id names an edge of the grouped quadrature this form replaced;
+    # tau = 6,720; and z at 0.98 of the supremum, where beta is 3.2
     near_sup = factorize(720720)
     return [
-        pytest.param(Factorization(((2, 40),)), 0.5, 200_000, id="2^40"),
-        pytest.param(Factorization(((2, 40), (3, 1))), 0.5, 200_000, id="2^40*3"),
+        pytest.param(Factorization(((2, 40),)), 0.5, id="2^40"),
+        pytest.param(Factorization(((2, 40), (3, 1))), 0.5, id="2^40*3"),
+        pytest.param(Factorization(((2, 15), (3, 1))), 0.5, id="tau_g-edge"),
+        pytest.param(factorize(963761198400), 0.5, id="963761198400"),
         pytest.param(
-            Factorization(((2, perron._GROUP_TAU - 1), (3, 1))), 0.5, 200_000, id="tau_g-edge"
-        ),
-        pytest.param(factorize(963761198400), 0.5, 20_000, id="963761198400"),
-        pytest.param(
-            near_sup, 0.98 * tail_quantile_domain(near_sup), 200_000, id="720720-near-sup"
+            near_sup, 0.98 * tail_quantile_domain(near_sup), id="720720-near-sup"
         ),
     ]
+
+
+def exp1_perron_tail(f, beta: float, t: float, T: float) -> float:
+    """The truncated contour integral in closed form with SciPy's E1, over
+    log-divisors summed from the factorization."""
+    logs = np.zeros(1)
+    for p, e in f.factors:
+        logs = np.add.outer(logs, log(p) * np.arange(e + 1)).ravel()
+    lam = logs - t
+    return float(np.sum(lam > 0) - exp1(-lam * complex(beta, T)).imag.sum() / pi) / f.tau
 
 
 @pytest.mark.parametrize(
-    "f, z, max_steps",
-    [pytest.param(f, 0.5, 200_000, id=str(f.n)) for f in _seeded_factorizations()]
-    + _group_edge_cases(),
+    "f, z",
+    [pytest.param(f, 0.5, id=str(f.n)) for f in _seeded_factorizations()]
+    + _edge_cases(),
 )
-def test_perron_matches_direct_grid_oracle(f, z, max_steps):
-    # steps give one-panel rows (1, 7), a partial last row (255, 257), an
-    # exact fit (256), a chunk of 4,096 panels and one more panel (4,097),
-    # and 5 to 32 chunks, then the acceptance size T = 200, 200,000 steps.
-    # A last chunk of 4,095 panels (alone, or after one full chunk at 8,191)
-    # pads to 133 rows of 31 panels, 16,492 nodes, more than a full chunk's
-    # 16,384: the workspace must hold it
+def test_perron_matches_direct_grid_oracle(f, z):
     mom = moments(f)
     t, _ = nudge_off_atom(exact_law(f), 0.5 * f.log_n + z * mom.sigma)
     beta = solve_beta(f, z, t=t)
-    grid = [
-        (T, steps)
-        for T in (50.0, 200.0)
-        for steps in (1, 7, 255, 256, 257, 4_095, 4_097, 8_191, 20_000, 62_501, 130_000)
-    ]
-    for T, steps in grid + [(200.0, 200_000)]:
-        if steps > max_steps:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # coarse panels
-            got = perron_tail_quadrature(f, z, T=T, steps=steps, t=t)
-        want = oracle_perron_quadrature(f, beta, t, T, steps)
-        assert abs(got - want) <= 1e-12, (T, steps, got, want)
+    for T in (1.0, 50.0, 200.0):
+        got = [perron_tail_quadrature(f, z, T=T, steps=s, t=t) for s in (1, 20_000, 200_000)]
+        assert got[0] == got[1] == got[2], (T, got)
+        for want in (
+            exp1_perron_tail(f, beta, t, T),
+            oracle_perron_quadrature(f, beta, t, T, 200_000),
+        ):
+            assert abs(got[0] - want) <= 1e-12, (T, got[0], want)
 
 
 def test_perron_small_beta_resolves_the_pole():
@@ -391,9 +408,16 @@ def test_perron_small_beta_resolves_the_pole():
     assert abs(rep.perron - rep.exact_tail) <= 0.01, rep.perron
 
 
-def test_perron_warns_on_coarse_panels():
-    with pytest.warns(RuntimeWarning):
-        perron_tail_quadrature(factorize(60), 0.5, T=200.0, steps=20)
+def test_tail_report_builds_one_law_and_one_tilt(monkeypatch):
+    calls = []
+    for name in ("exact_law", "solve_beta"):
+        def spy(*args, _original=getattr(perron, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(perron, name, spy)
+    tail_report(factorize(963761198400), 0.7, perron=(200.0, 20_000))
+    assert sorted(calls) == ["exact_law", "solve_beta"]
 
 
 def test_tail_report_fields():
