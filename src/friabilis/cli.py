@@ -147,7 +147,8 @@ def _cmd_divdist(args) -> int:
 
 def _cmd_tail(args) -> int:
     report = tail_report(args.n, args.z, perron=args.perron)
-    print(json.dumps(dataclasses.asdict(report), sort_keys=True))
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    print(json.dumps(fields, sort_keys=True))  # asdict would deep-copy each field
     return 0
 
 

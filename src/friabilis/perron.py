@@ -8,15 +8,17 @@ is taken in closed form, one divisor d at a time: with l = log d - t it is
 [l > 0] - Im E1(-l (beta + iT)) / pi, because -E1(-ls) is an antiderivative
 of e^{ls}/s whose branch cut the segment crosses exactly when l > 0.  As
 l -> 0 the term tends to atan(T/beta)/pi.  A query costs tau(n) evaluations
-of E1, computed here with NumPy alone.  perron_tail_quadrature's `steps`,
-once its panel count, is checked and otherwise unused.
+of E1, computed here with NumPy alone: a power series near zero and next to
+the negative real axis, elsewhere a continued fraction whose depth falls
+with |z|.  perron_tail_quadrature's `steps`, once its panel count, is
+checked and otherwise unused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import erfc, exp, isfinite, log, pi, sqrt
+from math import erfc, exp, isfinite, isnan, log, pi, sqrt
 
 import numpy as np
 
@@ -181,7 +183,9 @@ def solve_beta(f: Factorization, z, *, t: float | None = None) -> float:
     mom = moments(f)
     if mom.m2 == 0.0:
         raise DomainError("n = 1 has a degenerate law")
-    if not z >= 0:  # also refuses NaN
+    if isnan(z):
+        raise DomainError("z is NaN; give a number >= 0")
+    if z < 0:
         raise DomainError("z must be >= 0; use the law's symmetry for z < 0")
     if z == 0.0:
         return 0.0
@@ -259,52 +263,48 @@ def _saddle_tail(f: Factorization, beta: float, t: float) -> SaddleTail:
     )
 
 
-# _exp1's crossovers and depths, each the least that met 2e-15 relative error
-# against mpmath on 6,000 seeded points with |z| in [0.05, 400]
+# _exp1's series region, and the least continued-fraction depth that keeps
+# each band of |z|, from its lower bound on, within 2e-15 relative error
 _E1_SERIES_BOUND = 3.0  # series where |z| + Re z < 3: terms cancel by <= e^3
-_E1_CF_DEPTH = 60  # as deep as the fraction needs at |z| = 1.5, arg z = 0
-_E1_ASYM_RADIUS = 60.0  # 26 terms at 40; below that, a missed Stokes term shows
-_E1_ASYM_TERMS = 15
+_E1_BANDS = (  # (least |z|, depth); from 60 on, also next to the negative real axis
+    (0.0, 59), (6.0, 49), (10.0, 41), (15.0, 31), (25.0, 16), (40.0, 7), (60.0, 5), (120.0, 4))
+_E1_BOUNDS = np.array([lo for lo, _ in _E1_BANDS[1:]])
 
 
 def _exp1(z: np.ndarray) -> np.ndarray:
     """E1(z) = int_z^inf e^{-u}/u du on its principal branch, elementwise
     over a complex array off zero and the negative real axis: the power
-    series -gamma - log z - sum_{k>=1} (-z)^k/(k k!) where |z| + Re z < 3,
-    the even part of the continued fraction of DLMF 6.9.1,
-    e^{-z}/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), evaluated backward,
-    elsewhere below |z| = 60, and the asymptotic series
-    e^{-z}/z sum_k (-1)^k k!/z^k from there on.
+    series -gamma - log z - sum_{k>=1} (-z)^k/(k k!) where |z| < 60 and
+    |z| + Re z < 3, and elsewhere the even part of the continued fraction of
+    DLMF 6.9.1, e^{-z}/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), evaluated
+    backward from the depth that _E1_BANDS gives |z|.  Each element's value
+    depends on that element alone.
     """
     r = np.abs(z)
     out = np.empty_like(z)
-    far = r >= _E1_ASYM_RADIUS
-    series = ~far & (r + z.real < _E1_SERIES_BOUND)
-    middle = ~(far | series)
+    series = (r < 60.0) & (r + z.real < _E1_SERIES_BOUND)
     if series.any():
         w = z[series]
         term = -np.ones_like(w)
         acc = np.zeros_like(w)
+        done = np.zeros(w.shape, dtype=bool)
         for k in range(1, 200):  # |z| < 60 takes at most 134 terms
-            term *= -w / k
-            inc = term / k
+            term = term * (-w / k)  # NumPy's *= rounds one element differently
+            inc = np.where(done, 0.0, term / k)
             acc += inc
-            if np.all(np.abs(inc) <= 1e-16 * np.abs(acc)):
+            done |= np.abs(inc) <= 1e-16 * np.abs(acc)
+            if done.all():
                 break
         out[series] = acc - np.euler_gamma - np.log(w)
-    if middle.any():
-        w = z[middle]
-        acc = w + (2 * _E1_CF_DEPTH + 1)
-        for k in range(_E1_CF_DEPTH, 0, -1):
+    band = np.searchsorted(_E1_BOUNDS, r, side="right")
+    band[series] = len(_E1_BANDS)  # past every band, so no fraction runs
+    for b in np.flatnonzero(np.bincount(band)[: len(_E1_BANDS)]):
+        sel = band == b
+        w, depth = z[sel], _E1_BANDS[b][1]
+        acc = w + (2 * depth + 1)
+        for k in range(depth, 0, -1):
             acc = w + (2 * k - 1) - k * k / acc
-        out[middle] = np.exp(-w) / acc
-    if far.any():
-        w = z[far]
-        u = 1.0 / w
-        acc = np.ones_like(w)
-        for k in range(_E1_ASYM_TERMS, 0, -1):
-            acc = 1.0 - k * u * acc
-        out[far] = np.exp(-w) * u * acc
+        out[sel] = np.exp(-w) / acc
     return out
 
 

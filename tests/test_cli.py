@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import friabilis.cli as cli
-from friabilis.arith import psi_exact
+from friabilis.arith import factorize, psi_exact
+from friabilis.divdist import moments
 from friabilis.errors import ResourceLimitError
 from friabilis.experiments import AverageRunConfig, CltRunConfig, ConcentrationRunConfig
+from friabilis.perron import tail_report
 from friabilis.saddle import solve_alpha
 
 
@@ -151,6 +153,53 @@ def test_tail_perron_takes_T_alone(capsys):
     assert run_cli(capsys, *argv, "200,20000") == (0, out, "")
 
 
+def _on_atom_z(n: int, d: int) -> str:
+    f = factorize(n)
+    return repr((math.log(d) - 0.5 * f.log_n) / moments(f).sigma)
+
+
+@pytest.mark.parametrize(
+    "n,z,perron,nudged",
+    [
+        (720720, _on_atom_z(720720, 2002), (200.0, 20_000), True),
+        (963761198400, "0.7", (200.0, 20_000), False),
+        (963761198400, "0.7", None, False),
+    ],
+    ids=["nudged", "unnudged", "no-perron"],
+)
+def test_tail_prints_the_report_as_asdict_would(capsys, n, z, perron, nudged):
+    argv = ["tail", "--n", str(n), "--z", z]
+    if perron is not None:
+        argv += ["--perron", "200,20000"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = tail_report(n, float(z), perron=perron)
+    assert report.nudged is nudged and (report.perron is None) is (perron is None)
+    assert out == json.dumps(dataclasses.asdict(report), sort_keys=True) + "\n"
+
+
+def test_tail_perron_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, at a cost of tens of ms that
+    # a one-query process would pay in full
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from friabilis import cli\n"
+        "code = cli.main(['tail', '--n', '963761198400', '--z', '0.7', '--perron', '200'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize(
     "argv,shorthand,plain",
     [
@@ -210,6 +259,14 @@ def test_nan_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("perron", [(), ("--perron", "200")], ids=["plain", "perron"])
+def test_tail_refuses_nan_z_as_nan(capsys, perron):
+    code, out, err = run_cli(capsys, "tail", "--n", "60", "--z", "nan", *perron)
+    assert code == 2
+    assert out == ""
+    assert "z is NaN" in err and "symmetry" not in err
 
 
 def test_tail_degenerate_n(capsys):

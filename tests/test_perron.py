@@ -162,9 +162,11 @@ def test_solve_beta_small_z_linearization():
 
 def test_solve_beta_guards():
     f = factorize(60)
-    for z in (-0.1, math.nan):
-        with pytest.raises(DomainError):
-            solve_beta(f, z)
+    with pytest.raises(DomainError, match="symmetry"):
+        solve_beta(f, -0.1)
+    with pytest.raises(DomainError, match="z is NaN") as refused:
+        solve_beta(f, math.nan)
+    assert "symmetry" not in str(refused.value)
     with pytest.raises(DomainError):
         solve_beta(f, tail_quantile_domain(f))
     with pytest.raises(DomainError):
@@ -301,6 +303,66 @@ def test_exp1_matches_scipy_on_the_contour():
         got = perron._exp1(z)
     want = exp1(z)
     assert np.all(np.abs(got - want) <= EXP1_REL * np.abs(want))
+
+
+def deep_fraction_exp1(z: np.ndarray, depth: int = 200) -> np.ndarray:
+    """The backward continued fraction of _exp1's docstring at a fixed
+    depth far past any band's."""
+    acc = z + (2 * depth + 1)
+    for k in range(depth, 0, -1):
+        acc = z + (2 * k - 1) - k * k / acc
+    return np.exp(-z) / acc
+
+
+def test_exp1_band_depths_match_a_deep_fraction():
+    # each band's fraction at its least |z| in every direction: the band's
+    # lower bound, or the edge |z| + Re z = 3 of the series where that is
+    # further out; then the sliver next to the negative real axis where the
+    # series stops at |z| = 60 and the fraction takes over
+    rng = np.random.default_rng(22)
+    theta = rng.uniform(-pi, pi, 4_000)
+    with np.errstate(divide="ignore"):
+        edge = 3.0 / (1.0 + np.cos(theta)) * (1.0 + 1e-12)
+    his = [*perron._E1_BOUNDS, math.inf]
+    for (lo, _), hi in zip(perron._E1_BANDS, his):
+        r = np.maximum(lo, edge) if lo < 60.0 else np.full_like(theta, lo)
+        z = r[r < hi] * np.exp(1j * theta[r < hi])
+        assert z.size >= 1_000, lo
+        got, want = perron._exp1(z), deep_fraction_exp1(z)
+        assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want)), lo
+    r = np.exp(rng.uniform(log(60.0), log(600.0), 4_000))
+    side = np.pi - np.arccos(3.0 / r - 1.0)  # the sliver's angular half-width
+    z = -r * np.exp(1j * side * rng.uniform(-1.0, 1.0, r.size))
+    assert np.all(np.abs(z) + z.real < 3.0) and np.all(z.imag != 0.0)
+    got, want = perron._exp1(z), deep_fraction_exp1(z)
+    assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
+
+
+def test_exp1_elements_do_not_depend_on_each_other():
+    # the series, both sides of every band bound and the sliver, shuffled
+    # into one call: each value must be the one its element gets alone
+    rng = np.random.default_rng(23)
+    bounds = perron._E1_BOUNDS
+    r = np.concatenate(
+        [
+            np.exp(rng.uniform(log(1e-3), log(2.9), 40)),
+            bounds,
+            np.nextafter(bounds, 0.0),
+            np.exp(rng.uniform(log(1.5), log(600.0), 100)),
+        ]
+    )
+    z = r * np.exp(1j * rng.uniform(-2.0, 2.0, r.size))  # off the series edge
+    r = np.exp(rng.uniform(log(3.0), log(400.0), 60))
+    z = np.concatenate([z, -r + 1j * rng.uniform(-0.5, 0.5, r.size)])  # sliver
+    z = rng.permutation(z)
+    regions = (np.abs(z) < 60.0) & (np.abs(z) + z.real < 3.0)
+    assert regions.any() and not regions.all()
+    assert np.all(np.bincount(np.searchsorted(bounds, np.abs(z[~regions]), side="right")) > 0)
+    got = perron._exp1(z)
+    alone = np.array([perron._exp1(z[i : i + 1])[0] for i in range(z.size)])
+    assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
+    empty = perron._exp1(np.empty(0, dtype=np.complex128))
+    assert empty.shape == (0,) and empty.dtype == np.complex128
 
 
 def oracle_perron_quadrature(f, beta: float, t: float, T: float, steps: int) -> float:
