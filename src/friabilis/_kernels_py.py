@@ -4,11 +4,12 @@ The library reaches them through friabilis._backend.kernels.  Each sieve
 loops in Python over primes or over divisors d and does its work in
 strided whole-array updates, one per d.
 
-tau_sieve's divisor counts are int32: tau(n) < 2**31 for every n < 2**62.
-tau is sieved once per run, and small_divisor_count_sieve reads that one array for
-every v: the count at v = 1/2 follows from tau by the pairing of d with
-n/d, and any other v sieves only divisors d <= sqrt(limit), into zeros for
-v < 1/2 or off a copy of tau for v > 1/2.
+tau_sieve's divisor counts are uint16, two bytes per n: the largest tau(n)
+for n <= 1e17 is 64,512, so tau_sieve refuses any limit past 10**17.  tau
+is sieved once per run, and small_divisor_count_sieve reads that one array
+for every v and counts in tau's dtype: the count at v = 1/2 follows from
+tau by the pairing of d with n/d, and any other v sieves only divisors
+d <= sqrt(limit), into zeros for v < 1/2 or off a copy of tau for v > 1/2.
 """
 
 import math
@@ -119,18 +120,24 @@ def divisor_products(primes, exponents):
     return divs
 
 
+_TAU_MAX_LIMIT = 10**17  # largest limit whose tau(n) all fit in uint16
+
+
 def tau_sieve(limit):
-    """Divisor counts tau(n) for n in 0..limit (tau[0] = 0), as int32.
+    """Divisor counts tau(n) for n in 0..limit (tau[0] = 0), as uint16.
 
     Divisors of n pair up as d and n/d with d <= sqrt(n), so each
     d <= isqrt(limit) adds 2 at the multiples n >= d*d; at n = d*d the pair
-    is d twice, which the final -1 takes back.  int32 holds every count a
-    sieve can reach: tau(n) < 2**31 for all n < 2**62, and the largest tau
-    below 1e18 is 103,680.
+    is d twice, which the final -1 takes back.  uint16 holds every count up
+    to limit = 10**17: the largest tau(n) for n <= 1e17 is 64,512
+    (at n = 74,801,040,398,884,800), and tau first reaches 65,536 near
+    n = 1.07e17.  A larger limit raises ValueError before any allocation.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    tau = np.zeros(limit + 1, dtype=np.int32)
+    if limit > _TAU_MAX_LIMIT:
+        raise ValueError(f"limit must be <= {_TAU_MAX_LIMIT}, past which tau overflows uint16")
+    tau = np.zeros(limit + 1, dtype=np.uint16)
     root = math.isqrt(limit)
     for d in range(1, root + 1):
         tau[d * d :: d] += 2
@@ -146,16 +153,17 @@ def small_divisor_count_sieve(tau, v):
     where limit = len(tau) - 1.
 
     tau is tau_sieve(limit), which this reads and never modifies, so one
-    tau sieve serves every v.  Divisors pair up as d and e = n/d, and
-    d <= n**v exactly when e >= n**(1-v).  At v = 1/2 that is one divisor
-    of each pair d != sqrt(n), and sqrt(n) itself once, so the count is
-    (tau(n) + [n is a square]) // 2 with no sieve.  Otherwise, for v < 1/2
-    each d adds 1 at the multiples n with d <= n**v, and for v > 1/2 the
-    count is tau(n) less the divisors e < n**(1-v); either way only d (or e)
-    <= sqrt(limit) can contribute.  When v is within 1e-12 of a fraction
-    j/k with k <= _MAX_DENOM, the edge d = n**v is decided exactly, as
-    d**k <= n**j in integers; otherwise it is decided by comparing float
-    logs.
+    tau sieve serves every v.  The counts come in tau's dtype (uint16 from
+    tau_sieve), which holds them since none exceeds tau(n).  Divisors pair
+    up as d and e = n/d, and d <= n**v exactly when e >= n**(1-v).  At
+    v = 1/2 that is one divisor of each pair d != sqrt(n), and sqrt(n)
+    itself once, so the count is (tau(n) + [n is a square]) // 2 with no
+    sieve.  Otherwise, for v < 1/2 each d adds 1 at the multiples n with
+    d <= n**v, and for v > 1/2 the count is tau(n) less the divisors
+    e < n**(1-v); either way only d (or e) <= sqrt(limit) can contribute.
+    When v is within 1e-12 of a fraction j/k with k <= _MAX_DENOM, the edge
+    d = n**v is decided exactly, as d**k <= n**j in integers; otherwise it
+    is decided by comparing float logs.
     """
     limit = len(tau) - 1
     if limit < 0:
@@ -170,13 +178,13 @@ def small_divisor_count_sieve(tau, v):
         out //= 2
         return out
     if v <= 0.5:
-        out = np.zeros(limit + 1, dtype=np.int32)
-        c, step, strict = (frac if exact else v), 1, False
+        out = np.zeros(limit + 1, dtype=tau.dtype)
+        c, strict = (frac if exact else v), False
     else:
         out = tau.copy()
         if exact and frac == 1:
             return out
-        c, step, strict = (1 - frac if exact else 1.0 - v), -1, True
+        c, strict = (1 - frac if exact else 1.0 - v), True
     if exact:
         c = (c.numerator, c.denominator)
     for d in range(1, limit + 1):
@@ -184,7 +192,10 @@ def small_divisor_count_sieve(tau, v):
         if m0 > limit:
             break
         start = -(-m0 // d) * d  # first multiple of d at or past m0
-        out[start::d] += step
+        if v <= 0.5:
+            out[start::d] += 1
+        else:  # -= 1, since uint16 += -1 raises OverflowError
+            out[start::d] -= 1
     return out
 
 

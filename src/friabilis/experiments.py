@@ -359,11 +359,11 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
 # -- arcsine profile over all integers ---------------------------------------
 
 # Bytes per n <= x that arcsine_check's estimate charges against
-# arith.MEMORY_CEILING.  Its peak is tau and one v's counts, both int32, and
-# their float64 ratio: 16.07 bytes per n under tracemalloc at x = 2e6, for
-# any grid of v.  Rounded up, which puts the largest x under the 4 GiB
-# ceiling near 2.1e8.
-ARCSINE_BYTES_PER_N = 20
+# arith.MEMORY_CEILING.  Its peak is tau and one v's counts, both uint16,
+# and the float64 ratio buffer: 12.07 bytes per n under tracemalloc at
+# x = 2e6, for any grid of v.  Rounded up, which puts the largest x under
+# the 4 GiB ceiling near 2.9e8.
+ARCSINE_BYTES_PER_N = 15
 
 
 @dataclass(frozen=True)
@@ -379,9 +379,13 @@ def arcsine_check(x: int, vs) -> RunResult:
     arcsine law (2/pi) arcsin sqrt(v).
 
     Runs over all integers up to x (no smoothness restriction); the sieve
-    kernels carry the whole computation.  tau is sieved once, and every v
-    reads it.  An x whose arrays, at ARCSINE_BYTES_PER_N bytes per n, would
-    pass arith.MEMORY_CEILING raises ResourceLimitError before any sieving.
+    kernels carry the whole computation.  tau is sieved once, in uint16,
+    and every v reads it; each v's uint16 counts are divided by tau into
+    one float64 ratio buffer that serves every v.  The uint16 to float64
+    conversion is exact, so each ratio is the correctly rounded quotient of
+    the two counts.  An x whose arrays, at ARCSINE_BYTES_PER_N bytes per n,
+    would pass arith.MEMORY_CEILING raises ResourceLimitError before any
+    sieving.
     """
     x = int(x)
     if x < 1:
@@ -396,10 +400,13 @@ def arcsine_check(x: int, vs) -> RunResult:
             f"past the memory ceiling {arith.MEMORY_CEILING}"
         )
     tau = kernels.tau_sieve(x)
+    ratio = np.empty(x, dtype=np.float64)
     rows = []
     for v in grid:
         counts = kernels.small_divisor_count_sieve(tau, v)
-        empirical = float(np.mean(counts[1:] / tau[1:]))
+        np.divide(counts[1:], tau[1:], out=ratio)
+        del counts  # the next v's counts take its place, not a second array
+        empirical = float(np.mean(ratio))
         limit = 2.0 / pi * asin(sqrt(v))
         rows.append(
             ArcsineRow(v=v, empirical=empirical, limit=limit, gap=abs(empirical - limit))

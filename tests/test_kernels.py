@@ -106,13 +106,46 @@ def test_small_divisor_count_leaves_tau_alone(v):
     before = tau.copy()
     counts = kpy.small_divisor_count_sieve(tau, v)
     np.testing.assert_array_equal(tau, before)
-    counts[:] = -1  # the result owns its memory
+    counts[:] = 7  # the result owns its memory
     np.testing.assert_array_equal(tau, before)
 
 
-def test_tau_sieve_is_int32():
-    assert kpy.tau_sieve(10).dtype == np.int32
-    assert kpy.small_divisor_count_sieve(kpy.tau_sieve(10), 0.25).dtype == np.int32
+def test_tau_sieve_is_uint16():
+    tau = kpy.tau_sieve(10)
+    assert tau.dtype == np.uint16
+    for v in (0.25, 0.5, 0.75):
+        assert kpy.small_divisor_count_sieve(tau, v).dtype == np.uint16, v
+
+
+def test_tau_sieve_refuses_limits_past_1e17(monkeypatch):
+    # tau(n) first reaches 2**16 near n = 1.07e17; the guard must refuse
+    # before allocating, so np.zeros is replaced by a spy that never allocates
+    class Allocated(Exception):
+        pass
+
+    def spy(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(kpy.np, "zeros", spy)
+    with pytest.raises(ValueError, match="uint16"):
+        kpy.tau_sieve(10**17 + 1)
+    with pytest.raises(Allocated):
+        kpy.tau_sieve(10**17)
+
+
+def test_tau_256_at_1081080():
+    # 1,081,080 = 2^3 3^3 5 7 11 13 is the least n with tau(n) = 256, past
+    # what uint8 holds; it is no square, so half its divisors lie below sqrt(n)
+    n = 1_081_080
+    tau = kpy.tau_sieve(n)
+    assert int(tau[n]) == 256
+    assert int(tau[:n].max()) < 256
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert len(divisors) == 256
+    assert int(kpy.small_divisor_count_sieve(tau, 0.5)[n]) == 128
+    for j, k in [(1, 4), (3, 4)]:
+        counts = kpy.small_divisor_count_sieve(tau, j / k)
+        assert int(counts[n]) == sum(1 for d in divisors if d**k <= n**j), (j, k)
 
 
 def _le_pow(d: int, n: int, v: float) -> bool:
