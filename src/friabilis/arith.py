@@ -416,6 +416,8 @@ def _psi_count(x: int, primes: list[int], stop: float = inf) -> int:
             k = bisect_right(primes, bound, 0, k)
         if k == 0:
             return 1 if bound >= 1 else 0
+        if k == 1:  # the powers of 2 up to bound; keeps the depth near log_3 x
+            return bound.bit_length()
         key = (bound, k)
         hit = memo.get(key)
         if hit is not None:

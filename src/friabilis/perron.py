@@ -3,6 +3,10 @@ generating function Z(s) = E exp(s log d), derivatives of log Z through
 order four, the tilt beta solving the saddle equation, the tilted-Gaussian
 tail approximation, and the truncated contour integral of the tail.
 
+Z(s) is a product over p^e || n of the mean of p^{js}, 0 <= j <= e, so the
+k-th derivative of log Z is a sum over those factors of the k-th cumulant
+of j log p under the weights p^{js}, each taken from its weights directly.
+
 The contour integral (1/2 pi i) int_{beta-iT}^{beta+iT} tau Z(s) e^{-ts}/s ds
 is taken in closed form, one divisor d at a time: with l = log d - t it is
 [l > 0] - Im E1(-l (beta + iT)) / pi, because -E1(-ls) is an antiderivative
@@ -17,7 +21,6 @@ checked and otherwise unused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import erfc, exp, isfinite, isnan, log, pi, sqrt
 
 import numpy as np
@@ -28,99 +31,52 @@ from friabilis.errors import ConvergenceError, DomainError
 
 _SQRT2 = sqrt(2.0)
 
-# even-index Bernoulli numbers B_2 .. B_26, exact
-_BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-    Fraction(854513, 138),
-    Fraction(-236364091, 2730),
-    Fraction(8553103, 6),
-)
-
-
-def _series_coeffs(order: int) -> tuple[float, ...]:
-    # gt_j(v, s) = v**j * P_j(x) with x = v s; P_j in powers of x**2 with an
-    # extra factor x for odd-regular orders; coefficients B_k prod (k-i) / k!
-    out = []
-    fact = 1
-    for m, b in enumerate(_BERNOULLI, start=1):
-        k = 2 * m
-        fact = fact * (k - 1) * k
-        coeff = b
-        for i in range(1, order):
-            coeff *= k - i
-        if order >= 3 and k == 2:
-            continue  # the (k-1)(k-2).. factor vanishes; skip the k=2 slot
-        out.append(float(Fraction(coeff) / fact))
-    return tuple(out)
-
-
-_C1 = _series_coeffs(1)
-_C2 = _series_coeffs(2)
-_C3 = _series_coeffs(3)
-_C4 = _series_coeffs(4)
-
-_SWITCH_X = 0.9  # |v s| below this uses the series; above, the closed form
-
-
-def _poly_even(coeffs: tuple[float, ...], t: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _gt(order: int, v: float, s: float) -> float:
-    """Regular part of the order-th derivative kernel: g_order minus its
-    v-independent pole term, evaluated without cancellation.
-
-    g_1(v; s) = v / (1 - e^{-vs}) and g_{j+1} = d g_j / ds; the pole terms
-    (-1)^{j-1} (j-1)!/s^j drop out of per-factor differences, so only the
-    regular parts are ever combined.
-    """
-    x = v * s
-    if abs(x) <= _SWITCH_X:
-        t = x * x
-        if order == 1:
-            return v * (0.5 + x * _poly_even(_C1, t))
-        if order == 2:
-            return v * v * _poly_even(_C2, t)
-        if order == 3:
-            return v**3 * x * _poly_even(_C3, t)
-        return v**4 * _poly_even(_C4, t)
-    e = exp(-x)
-    d = -np.expm1(-x)  # 1 - e^{-x}, sign-correct for x < 0
-    if order == 1:
-        return (x - 1.0 + e) / (s * d)
-    if order == 2:
-        return (d * d - x * x * e) / (s * d) ** 2
-    if order == 3:
-        return (x**3 * e * (1.0 + e) - 2.0 * d**3) / (s * d) ** 3
-    return (6.0 * d**4 - x**4 * e * (1.0 + 4.0 * e + e * e)) / (s * d) ** 4
-
-
 def log_mgf_derivative(f: Factorization, s: float, order: int) -> float:
     """Derivative of log Z(s) of the given order (1 through 4) at real s.
 
-    Assembled per prime power as the difference of regular kernel parts at
-    v = (e+1) log p and v = log p; exact values at s = 0 are the law's
-    cumulants: half log n, the variance, 0, and the fourth cumulant.
+    log Z(s) is the sum over p^e || n of log mean_{0<=j<=e} p^{js}, so its
+    order-th derivative sums, over the factors, the order-th cumulant of
+    j log p under the weights p^{js}: the mean, the variance, the third
+    central moment and mu4 - 3 mu2^2.  Each factor's weights are the powers
+    r^k of r = p^{-|s|} <= 1, counted from the heavier end (k = e - j for
+    s > 0, which flips the sign of the odd cumulants), so none overflows
+    and no two large parts are subtracted.  At s = 0 the values are the
+    law's cumulants: half log n, the variance, 0, and the fourth cumulant.
     """
     if order not in (1, 2, 3, 4):
         raise DomainError("order must be 1, 2, 3, or 4")
     s = float(s)
+    flip = s > 0
     total = 0.0
     for p, e in f.factors:
         lp = log(p)
-        total += _gt(order, (e + 1) * lp, s) - _gt(order, lp, s)
+        r = exp(-abs(s) * lp)
+        mass = mean = 0.0
+        w = 1.0
+        for k in range(e + 1):
+            mass += w
+            mean += k * w
+            w *= r
+        mean /= mass
+        if order == 1:
+            total += lp * (e - mean if flip else mean)
+            continue
+        m2 = m3 = m4 = 0.0
+        w = 1.0
+        for k in range(e + 1):
+            d = k - mean
+            wd2 = w * d * d
+            m2 += wd2
+            m3 += wd2 * d
+            m4 += wd2 * d * d
+            w *= r
+        if order == 2:
+            c = m2 / mass
+        elif order == 3:
+            c = (-m3 if flip else m3) / mass
+        else:
+            c = m4 / mass - 3.0 * (m2 / mass) ** 2
+        total += lp**order * c
     return total
 
 

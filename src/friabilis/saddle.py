@@ -90,14 +90,22 @@ def sigma_bar_sq(alpha, y) -> float:
     return 0.5 * kernels.kahan_sum(lp * lp * (t + 2.0 / 3.0) / (t * t))
 
 
+def _float_x(x) -> float:
+    """x as a float; DomainError for an integer x past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError("x is past the float range (about 1.8e308)") from None
+
+
 def solve_alpha(x, y) -> float:
     """The unique positive root of sum over p <= y of log p/(p^alpha - 1)
     = log x.
 
     Bisection on [1e-6, 2], stopping once the residual is within
-    ALPHA_TOL * log x of zero.  Requires x >= y >= 2.
+    ALPHA_TOL * log x of zero.  Requires x >= y >= 2, with x in the float range.
     """
-    x = float(x)
+    x = _float_x(x)
     y = int(y)
     if y < 2:
         raise DomainError("y must be >= 2")
@@ -148,8 +156,9 @@ class SaddleContext:
 
 
 def make_context(x, y) -> SaddleContext:
-    """The SaddleContext at (x, y); requires x >= y >= 2."""
-    x = float(x)
+    """The SaddleContext at (x, y); requires x >= y >= 2, with x in the float
+    range."""
+    x = _float_x(x)
     y = int(y)
     alpha = solve_alpha(x, y)
     lp = _log_primes(y)

@@ -344,6 +344,11 @@ def test_psi_conventions_and_limits():
     assert ENUM_CEILING >= 10**8
 
 
+def test_psi_of_powers_of_2_past_the_recursion_limit():
+    # one recursion level per power of 2 would pass Python's default limit
+    assert psi_recursive(2**1000, 2) == psi_exact(2**1000, 2) == 1001
+
+
 def test_psi_floor_is_a_lower_bound():
     # y >= x on part of the grid: there the floor counts every prime <= x
     for x in [1, 2, 3, 4, 10, 30, 97, 100, 360, 1000, 4096]:

@@ -64,6 +64,31 @@ def test_saddle_json_omits_psi_exact_past_the_budget(capsys):
     assert payload["psi_saddle"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("saddle", "--y", "100"),
+        ("average", "--y", "30", "--z-grid", "0.5"),
+        ("concentration", "--y", "100"),
+    ],
+    ids=["saddle", "average", "concentration"],
+)
+def test_x_past_the_float_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--x", "1e400")
+    assert code == 2
+    assert out == ""
+    assert "error: x is past the float range" in err
+
+
+def test_saddle_past_the_rho_table_exits_2(capsys):
+    # psi_exact counts S(1e300, 100) up to its budget before the Dickman
+    # range check; that count once recursed a level per power of 2 below x
+    code, out, err = run_cli(capsys, "saddle", "--x", "1e300", "--y", "100")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the table range" in err
+
+
 def test_divdist_summary(capsys):
     code, out, _ = run_cli(capsys, "divdist", "--n", "60")
     assert code == 0

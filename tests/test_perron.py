@@ -103,7 +103,7 @@ def test_cumulants_at_zero(n):
 
 @pytest.mark.parametrize("n", [60, 97, 720720, 2**19])
 def test_derivative_chain_by_finite_differences(n):
-    # s values straddle the series/closed-form switch at |v s| = 0.9
+    # s = 0, a negative s, and positive s where r = p^{-s} runs from 1 to 0.1
     f = factorize(n)
     h = 1e-5
     for s in (0.0, 0.01, 0.05, 0.2, 0.5, -0.1):
@@ -116,6 +116,27 @@ def test_derivative_chain_by_finite_differences(n):
             assert log_mgf_derivative(f, s, order) == pytest.approx(
                 fd, rel=1e-6, abs=1e-7
             ), (s, order)
+
+
+@pytest.mark.parametrize("s", [3.0, 5.0])
+def test_derivatives_at_large_tilt_match_two_atoms(s):
+    # n = p has the two atoms 0 and log p; with r = p^{-s} near 1e-18 and
+    # 1e-30 each derivative is ~r, far below the 1/s^k scale of its parts
+    p = 999983
+    lp = log(p)
+    r = p**-s
+    v = r / (1 + r) ** 2
+    closed = {2: lp**2 * v, 3: lp**3 * v * (1 - 2 / (1 + r)), 4: lp**4 * v * (1 - 6 * v)}
+    f = factorize(p)
+    for order, want in closed.items():
+        assert log_mgf_derivative(f, s, order) == pytest.approx(want, rel=1e-13, abs=0), order
+
+
+def test_tail_report_curvature_near_the_supremum():
+    p = 999983
+    rep = tail_report(p, 1 - 1e-12)
+    r = p**-rep.beta
+    assert rep.mu2 == pytest.approx(log(p) * sqrt(r) / (1 + r), rel=1e-12, abs=0)
 
 
 def test_derivative_order_guard():

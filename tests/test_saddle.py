@@ -142,6 +142,9 @@ def test_alpha_domain():
         solve_alpha(10, 11)  # needs x >= y
     with pytest.raises(DomainError):
         solve_alpha(4, 1)
+    for solve in (solve_alpha, make_context):  # float(10**400) overflows
+        with pytest.raises(DomainError, match="float range"):
+            solve(10**400, 100)
 
 
 def test_zeta_partial_known_value():
