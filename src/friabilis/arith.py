@@ -134,7 +134,7 @@ def factorize(n) -> Factorization:
     if n < 1:
         raise DomainError("n must be >= 1")
     if n >= N_CEILING:
-        raise DomainError(f"n must be < 2**62, got {n}")
+        raise DomainError(f"n must be < 2**62, got an integer of {n.bit_length()} bits")
     factors = []
     m = n
     tried = 1  # every prime <= tried is divided out of m
@@ -214,8 +214,8 @@ class SmoothTable:
 
 
 def smooth_table(x, y) -> SmoothTable:
-    """S(x, y) as a SmoothTable; |S(x, y)| > ENUM_CEILING raises
-    ResourceLimitError.
+    """S(x, y) as a SmoothTable, for 1 <= x < 2**62; |S(x, y)| >
+    ENUM_CEILING raises ResourceLimitError.
 
     Rows grow from n = 1 one prime at a time, in ascending order, so a new
     factor always lands in the next free slot, and each row is complete
@@ -232,11 +232,13 @@ def smooth_table(x, y) -> SmoothTable:
     """
     x = int(x)
     y = int(y)
+    if x < 1:
+        raise DomainError("x must be >= 1")
     if x >= N_CEILING:
-        raise DomainError(f"x must be < 2**62, got {x}")
+        raise DomainError(f"x must be < 2**62, got an integer of {x.bit_length()} bits")
     basis = sieve_primes(min(x, y))
     slot_type = np.min_scalar_type(len(basis))
-    root = isqrt(max(x, 0))
+    root = isqrt(x)
 
     def check(size: int) -> None:
         if size > ENUM_CEILING:

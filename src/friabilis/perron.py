@@ -5,7 +5,10 @@ tail approximation, and the truncated contour integral of the tail.
 
 Z(s) is a product over p^e || n of the mean of p^{js}, 0 <= j <= e, so the
 k-th derivative of log Z is a sum over those factors of the k-th cumulant
-of j log p under the weights p^{js}, each taken from its weights directly.
+of j log p under the weights p^{js}.  One pass over the factors gives log Z
+and those sums together.  The tilt is solved on the gap log n - (log Z)'(s),
+summed per factor so that it does not cancel near the supremum, and every
+entry point reads the query convention from one prologue, _query.
 
 The contour integral (1/2 pi i) int_{beta-iT}^{beta+iT} tau Z(s) e^{-ts}/s ds
 is taken in closed form, one divisor d at a time: with l = log d - t it is
@@ -21,7 +24,7 @@ checked and otherwise unused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import erfc, exp, isfinite, isnan, log, pi, sqrt
+from math import erfc, exp, isfinite, isnan, log, log2, pi, sqrt
 
 import numpy as np
 
@@ -31,23 +34,18 @@ from friabilis.errors import ConvergenceError, DomainError
 
 _SQRT2 = sqrt(2.0)
 
-def log_mgf_derivative(f: Factorization, s: float, order: int) -> float:
-    """Derivative of log Z(s) of the given order (1 through 4) at real s.
 
-    log Z(s) is the sum over p^e || n of log mean_{0<=j<=e} p^{js}, so its
-    order-th derivative sums, over the factors, the order-th cumulant of
-    j log p under the weights p^{js}: the mean, the variance, the third
-    central moment and mu4 - 3 mu2^2.  Each factor's weights are the powers
-    r^k of r = p^{-|s|} <= 1, counted from the heavier end (k = e - j for
-    s > 0, which flips the sign of the odd cumulants), so none overflows
-    and no two large parts are subtracted.  At s = 0 the values are the
-    law's cumulants: half log n, the variance, 0, and the fourth cumulant.
+def _log_z(f: Factorization, s: float, order: int) -> tuple[float, list[float]]:
+    """log Z(s) at real s and, for m = 1 .. order (at most 4), the sum over
+    p^e || n of (log p)^m times the m-th cumulant of k under the weights r^k,
+    r = p^{-|s|}: the mean, the variance, the third central moment and
+    mu4 - 3 mu2^2.  k counts from each factor's heavier end (k = e - j for
+    s > 0, else k = j), so no weight overflows and no two large parts are
+    subtracted.  The sums are (log Z)^{(m)}(s) for s <= 0; for s > 0 the odd
+    ones change sign, and the first is the gap log n - (log Z)'(s).
     """
-    if order not in (1, 2, 3, 4):
-        raise DomainError("order must be 1, 2, 3, or 4")
-    s = float(s)
-    flip = s > 0
-    total = 0.0
+    log_z = 0.0
+    sums = [0.0] * order
     for p, e in f.factors:
         lp = log(p)
         r = exp(-abs(s) * lp)
@@ -58,8 +56,9 @@ def log_mgf_derivative(f: Factorization, s: float, order: int) -> float:
             mean += k * w
             w *= r
         mean /= mass
+        log_z += log(mass / (e + 1))
+        sums[0] += lp * mean
         if order == 1:
-            total += lp * (e - mean if flip else mean)
             continue
         m2 = m3 = m4 = 0.0
         w = 1.0
@@ -67,31 +66,38 @@ def log_mgf_derivative(f: Factorization, s: float, order: int) -> float:
             d = k - mean
             wd2 = w * d * d
             m2 += wd2
-            m3 += wd2 * d
-            m4 += wd2 * d * d
+            if order > 2:
+                m3 += wd2 * d
+                m4 += wd2 * d * d
             w *= r
-        if order == 2:
-            c = m2 / mass
-        elif order == 3:
-            c = (-m3 if flip else m3) / mass
-        else:
-            c = m4 / mass - 3.0 * (m2 / mass) ** 2
-        total += lp**order * c
-    return total
+        m2 /= mass
+        sums[1] += lp * lp * m2
+        if order > 2:
+            sums[2] += lp**3 * m3 / mass
+        if order > 3:
+            sums[3] += lp**4 * (m4 / mass - 3.0 * m2 * m2)
+    if s > 0:  # the weights p^{js} were divided by p^{es}
+        log_z += s * f.log_n
+    return log_z, sums
+
+
+def log_mgf_derivative(f: Factorization, s: float, order: int) -> float:
+    """Derivative of log Z(s) of the given order (1 through 4) at real s,
+    from _log_z's per-factor cumulant sums.  At s = 0 the values are the
+    law's cumulants: half log n, the variance, 0, and the fourth cumulant.
+    """
+    if order not in (1, 2, 3, 4):
+        raise DomainError("order must be 1, 2, 3, or 4")
+    s = float(s)
+    c = _log_z(f, s, order)[1][order - 1]
+    if s <= 0 or order % 2 == 0:
+        return c
+    return f.log_n - c if order == 1 else -c
 
 
 def log_mgf(f: Factorization, s: float) -> float:
-    """log Z(s) at real s, via per-factor shifted geometric sums."""
-    s = float(s)
-    total = 0.0
-    for p, e in f.factors:
-        ls = log(p) * s
-        shift = max(e * ls, 0.0)
-        acc = 0.0
-        for j in range(e + 1):
-            acc += exp(j * ls - shift)
-        total += shift + log(acc) - log(e + 1)
-    return total
+    """log Z(s) at real s, from _log_z's per-factor pass."""
+    return _log_z(f, float(s), 1)[0]
 
 
 def mgf(f: Factorization, s):
@@ -120,20 +126,10 @@ def gaussian_tail(z) -> float:
     return 0.5 * erfc(float(z) / _SQRT2)
 
 
-_BETA_TOL = 1e-10
-_BETA_MAX_ITER = 100
-
-
-def solve_beta(f: Factorization, z, *, t: float | None = None) -> float:
-    """The tilt beta >= 0 with (log Z)'(beta) = t, where t defaults to
-    half log n + z sigma.
-
-    Newton iteration guarded by a maintained bracket, for at most
-    _BETA_MAX_ITER steps; the residual stops under _BETA_TOL * log n.  z must
-    lie in [0, log n / (2 sigma)); the supremum itself (and anything past
-    it) is outside the reachable range.  A given t is the query after
-    nudge_off_atom moved it (within 64e-9 log n of the z threshold); z = 0
-    keeps beta = 0 whatever t is.
+def _query(f: Factorization, z, t: float | None = None):
+    """The query convention of every tail entry point: (z, moments, t), with
+    t = half log n + z sigma unless given.  It refuses n = 1, whose law is
+    degenerate, NaN z and negative z, before any law is built.
     """
     z = float(z)
     mom = moments(f)
@@ -143,43 +139,53 @@ def solve_beta(f: Factorization, z, *, t: float | None = None) -> float:
         raise DomainError("z is NaN; give a number >= 0")
     if z < 0:
         raise DomainError("z must be >= 0; use the law's symmetry for z < 0")
+    return z, mom, 0.5 * f.log_n + z * mom.sigma if t is None else float(t)
+
+
+_BETA_TOL = 1e-10
+_BETA_MAX_ITER = 100
+
+
+def solve_beta(f: Factorization, z, *, t: float | None = None) -> float:
+    """The tilt beta >= 0 with (log Z)'(beta) = t, where t defaults to
+    half log n + z sigma.
+
+    It solves gap(beta) = log n - t, the gap summed per factor by _log_z,
+    and stops once the residual is at most _BETA_TOL (log n - t).  Newton
+    steps on log gap, nearly linear in beta near the supremum, start from
+    the first-order guess z sigma / m2, take one pass each and stay inside
+    a bracket.  Its top end is closed-form: each factor's share of the gap
+    is at most log p x/(1 - x)^2 with x = 2^{-beta} >= r, so gap(beta) <=
+    log n x/(1 - x)^2.  z must lie in [0, log n / (2 sigma)).  A given t is
+    the query after nudge_off_atom moved it (within 64e-9 log n of the z
+    threshold); z = 0 keeps beta = 0 whatever t is.
+    """
+    z, mom, t = _query(f, z, t)
     if z == 0.0:
         return 0.0
     log_n = f.log_n
-    target = 0.5 * log_n + z * mom.sigma if t is None else float(t)
-    if target >= log_n:
-        raise DomainError(
-            f"z = {z} is at or beyond the supremum {log_n / (2 * mom.sigma)}"
-        )
-    resid_tol = _BETA_TOL * log_n
-
-    lo = 0.0
-    hi = 1.0
-    grow = 0
-    while log_mgf_derivative(f, hi, 1) < target:
-        lo = hi
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise ConvergenceError("tilt bracket failed to close")
-
-    beta = min(hi, z * mom.sigma / mom.m2)  # first-order guess
-    if beta <= lo:
-        beta = 0.5 * (lo + hi)
+    goal = log_n - t
+    if goal <= 0:
+        raise DomainError(f"z = {z} is at or beyond the supremum {log_n / (2 * mom.sigma)}")
+    tol = _BETA_TOL * goal
+    c = goal / log_n  # x/(1 - x)^2 = c at x = 2c / (1 + 2c + sqrt(1 + 4c))
+    lo, hi = 0.0, -log2(2 * c / (1 + 2 * c + sqrt(1 + 4 * c)))
+    beta = z * mom.sigma / mom.m2  # first-order guess
+    if not beta < hi:
+        beta = 0.5 * hi
     for _ in range(_BETA_MAX_ITER):
-        r = log_mgf_derivative(f, beta, 1) - target
-        if abs(r) <= resid_tol:
+        _, (gap, curv) = _log_z(f, beta, 2)
+        r = gap - goal
+        if abs(r) <= tol:
             return beta
         if r > 0:
-            hi = beta
-        else:
             lo = beta
-        curv = log_mgf_derivative(f, beta, 2)
-        step = r / curv if curv > 0 else 0.0
-        beta -= step
+        else:
+            hi = beta
+        beta += gap * log(gap / goal) / curv if gap > 0 and curv > 0 else 0.0
         if not lo < beta < hi:
             beta = 0.5 * (lo + hi)
-    raise ConvergenceError(f"tilt solve did not reach tolerance {resid_tol}")
+    raise ConvergenceError(f"tilt solve did not reach tolerance {tol}")
 
 
 @dataclass(frozen=True)
@@ -200,17 +206,15 @@ class SaddleTail:
 def saddle_tail_approx(f: Factorization, z, *, t: float | None = None) -> SaddleTail:
     """Approximate P(log d >= t) by tilting the law; t defaults to
     half log n + z sigma (see solve_beta)."""
-    z = float(z)
-    beta = solve_beta(f, z, t=t)
-    target = 0.5 * f.log_n + z * moments(f).sigma if t is None else float(t)
-    return _saddle_tail(f, beta, target)
+    z, _, t = _query(f, z, t)
+    return _saddle_tail(f, solve_beta(f, z, t=t), t)
 
 
 def _saddle_tail(f: Factorization, beta: float, t: float) -> SaddleTail:
     """saddle_tail_approx at the tilt beta solved for t."""
-    curv = log_mgf_derivative(f, beta, 2)
+    log_z, (_, curv) = _log_z(f, beta, 2)
     mu2 = sqrt(curv)
-    exponent = log_mgf(f, beta) - t * beta + 0.5 * beta * beta * curv
+    exponent = log_z - t * beta + 0.5 * beta * beta * curv
     return SaddleTail(
         value=exp(exponent) * gaussian_tail(beta * mu2),
         beta=beta,
@@ -299,12 +303,8 @@ def perron_tail_quadrature(
     must not be an atom: within MERGE_TOL of a log-divisor, as
     nudge_off_atom decides it.  steps must be >= 1 and is otherwise unused.
     """
-    z = float(z)
-    mom = moments(f)
-    if mom.m2 == 0.0:
-        raise DomainError("n = 1 has a degenerate law")
-    t = 0.5 * f.log_n + z * mom.sigma if t is None else float(t)
-    # solve_beta refuses z < 0 and NaN, and _contour_tail beta = 0 (z = 0)
+    z, _, t = _query(f, z, t)
+    # _contour_tail refuses beta = 0, the tilt of z = 0
     return _contour_tail(exact_law(f), t, solve_beta(f, z, t=t), T, steps)
 
 
@@ -335,16 +335,12 @@ def tail_report(
     When that threshold sits on an atom it is nudged off it first, and the
     exact, saddle and Perron tails are all evaluated at the resolved t,
     from one law and one tilt.  `perron`, when given, is (T, steps) for
-    the contour evaluation; it is skipped otherwise.  n = 1 is excluded
-    (degenerate law).
+    the contour evaluation; it is skipped otherwise.  _query's refusals
+    come first.
     """
     f = n_or_f if isinstance(n_or_f, Factorization) else factorize(n_or_f)
-    z = float(z)
+    z, _, t = _query(f, z)
     law = exact_law(f)
-    mom = moments(f)
-    if mom.m2 == 0.0:
-        raise DomainError("n = 1 has a degenerate law")
-    t = 0.5 * f.log_n + z * mom.sigma
     t, nudged = nudge_off_atom(law, t)
     exact = law.upper_tail(t)
     gauss = gaussian_tail(z)

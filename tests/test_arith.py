@@ -332,6 +332,16 @@ def test_smooth_table_memory_ceiling(monkeypatch, x, y):
         smooth_table(x, y)
 
 
+@pytest.mark.parametrize("x", [0, -5])
+def test_smooth_table_refuses_x_below_one(x):
+    # S(x, y) is empty for x < 1, which a table that starts from the row
+    # n = 1 cannot hold; enumerate_smooth refuses the same x
+    with pytest.raises(DomainError, match="x must be >= 1"):
+        smooth_table(x, 30)
+    with pytest.raises(DomainError, match="x must be >= 1"):
+        enumerate_smooth(x, 30)
+
+
 def test_psi_conventions_and_limits():
     # degenerate corners take the counting convention, not an error:
     # nothing is <= 0, and only n = 1 is 1-smooth

@@ -294,6 +294,24 @@ def test_tail_refuses_nan_z_as_nan(capsys, perron):
     assert "z is NaN" in err and "symmetry" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("clt", "--x", "1e400", "--y", "30", "--z-grid", "0.5"),
+        ("tail", "--n", "1e400", "--z", "0.5"),
+    ],
+    ids=["clt", "tail"],
+)
+def test_oversized_integers_are_refused_by_size(capsys, argv):
+    # the refusal names the 2**62 bound and the size, not all 401 digits
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 120
+    assert "2**62" in err and "1329 bits" in err
+
+
 def test_tail_degenerate_n(capsys):
     code, _, err = run_cli(capsys, "tail", "--n", "1", "--z", "0.5")
     assert code == 2

@@ -139,6 +139,16 @@ def test_tail_report_curvature_near_the_supremum():
     assert rep.mu2 == pytest.approx(log(p) * sqrt(r) / (1 + r), rel=1e-12, abs=0)
 
 
+def test_tail_report_tilt_near_the_supremum():
+    # n = p: gap(beta) = log p r/(1 + r) with r = p^{-beta}, so the tilt is
+    # log((1 - q)/q) / log p with q = (log p - t)/log p; here log p - t is
+    # 7e-12, so a stop in units of 1e-10 log n would admit beta = 3
+    p = 999983
+    rep = tail_report(p, 1 - 1e-12)
+    q = (log(p) - rep.t) / log(p)
+    assert rep.beta == pytest.approx(log((1 - q) / q) / log(p), rel=1e-9, abs=0)
+
+
 def test_derivative_order_guard():
     f = factorize(12)
     for order in (0, 5, -1):
@@ -172,6 +182,28 @@ def test_solve_beta_residual_and_monotone(n):
         assert abs(resid) <= 1e-10 * f.log_n, (z, resid)
 
 
+def gap(f, beta):
+    """log n - (log Z)'(beta), each factor's share summed from its heavier end."""
+    total = 0.0
+    for p, e in f.factors:
+        k = np.arange(e + 1)
+        w = float(p) ** (-beta * k)
+        total += log(p) * float(k @ w / w.sum())
+    return total
+
+
+def test_solve_beta_meets_the_gap_tolerance_up_to_the_supremum():
+    # z runs from near 0 up to (1 - 1e-9) of the supremum, where log n - t
+    # is ~1e-9 of log n and a tolerance in units of log n admits a wrong beta
+    rng = random.Random(25)
+    for _ in range(300):
+        f = factorize(rng.randrange(2, 10**9))
+        z = tail_quantile_domain(f) * (1 - 10 ** rng.uniform(-9, 0))
+        beta = solve_beta(f, z)
+        goal = f.log_n - (0.5 * f.log_n + z * moments(f).sigma)
+        assert abs(gap(f, beta) - goal) <= 1e-10 * goal, (f.n, z, beta)
+
+
 def test_solve_beta_small_z_linearization():
     # first-order shape: beta ~ z / sigma
     for n in (60, 720720, 97):
@@ -192,6 +224,31 @@ def test_solve_beta_guards():
         solve_beta(f, tail_quantile_domain(f))
     with pytest.raises(DomainError):
         solve_beta(factorize(1), 0.5)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [solve_beta, saddle_tail_approx, perron_tail_quadrature, tail_report],
+    ids=["solve_beta", "saddle_tail_approx", "perron_tail_quadrature", "tail_report"],
+)
+@pytest.mark.parametrize(
+    "n, z, message",
+    [
+        (1, 0.5, "n = 1 has a degenerate law"),
+        (60, math.nan, "z is NaN; give a number >= 0"),
+        (60, -0.5, "z must be >= 0; use the law's symmetry for z < 0"),
+    ],
+    ids=["n=1", "nan", "negative"],
+)
+def test_every_entry_point_refuses_the_same_queries(monkeypatch, entry, n, z, message):
+    # one query convention: the same text from every entry point, and the
+    # refusal comes before any law is built
+    built = []
+    monkeypatch.setattr(perron, "exact_law", built.append)
+    with pytest.raises(DomainError) as refused:
+        entry(factorize(n), z)
+    assert str(refused.value) == message
+    assert built == []
 
 
 def test_saddle_tail_at_zero_is_half():
