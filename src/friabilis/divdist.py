@@ -12,18 +12,17 @@ operations in the same order and takes log p from math.log, as the per-n
 code does, through one term per (prime, exponent) for every statistic, all
 gathered in one pass over the slot columns.  table_upper_tails counts the
 divisors of n = m P^e (P its largest prime) from the log d of its stem m
-shifted by i log P, or, where m is not a row of the table, from n's own.
-Every query that a shifted threshold puts within 2 MERGE_TOL of a stem
-atom is answered again from the full sorted log-divisors of n, nudged as
-nudge_off_atom would, so float rounding in the shift cannot change a
-count.  One search serves both passes: over chunks of sorted log-divisors,
-expanded once per distinct row, it returns the count of atoms below a
-threshold and the distance to the nearest one.  The stem pass flags a
-distance under 2 MERGE_TOL; the nudge pass, where each flagged n is its
-own stem with no shift, moves a query while it is under MERGE_TOL.  The
-chunks of each pass run on one thread per CPU in the process's affinity
-mask; each writes only its own rows and is joined in chunk order, so the
-results are identical for any CPU count.
+shifted by i log P.  n = 1, and a row whose stem the table lacks, is its
+own stem, with e = 0.  One count pass answers every query: over chunks of
+sorted log-divisors, expanded once per distinct stem, a search returns the
+count of atoms below a threshold and the distance to the nearest one.  An
+own-stem row's count is exact, and the pass moves its query off an atom
+closer than MERGE_TOL as nudge_off_atom would.  A shifted row only flags a
+query within 2 MERGE_TOL of a stem atom, and the flagged queries go
+through the same pass again, each n its own stem, so float rounding in the
+shift cannot change a count.  The chunks of a pass run on one thread per
+CPU in the process's affinity mask; each writes only its own rows and is
+joined in chunk order, so the results are identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -53,9 +52,11 @@ MODEL_REL_TOL = 1e-15  # where model_mean_additive stops its nu-sum
 class DivisorMoments:
     """Closed-form summary of the log-divisor law of one n.
 
-    m2 is the variance, m4 the fourth central moment, w = m2**2 / m4 the
-    balance ratio (>= 5/9, with w = 1 when n = 1), t_max the largest single
-    contribution (nu + 1) log p over p^nu || n (0 when n = 1).
+    m2 is the variance, m4 the sum over p^e || n of the fourth central
+    moment of j log p, j uniform on 0..e (not the fourth central moment of
+    the law), w = m2**2 / m4 the balance ratio (>= 5/9, with w = 1 when
+    n = 1), t_max the largest single contribution (nu + 1) log p over
+    p^nu || n (0 when n = 1).
     """
 
     tau: int
@@ -390,47 +391,69 @@ def _search(
     return pos, gap
 
 
-def _nudged_tails(
-    table: SmoothTable, row: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """upper_tail at nudge_off_atom's query, and whether it moved, for each
-    pair of a table row and a threshold t.
+def _count_pass(
+    table: SmoothTable,
+    rows: np.ndarray,
+    tau: np.ndarray,
+    stem: np.ndarray,
+    e: np.ndarray,
+    log_p: np.ndarray,
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tails, nudged, near), each shaped like t, for table rows whose n
+    has tau divisors and is stem * P**e, log P = log_p, at thresholds t.
 
-    Each n is its own stem: the sorted log-divisors of its row are the
-    values of its exact_law.  The nudge loop runs as masked passes over
-    every pair still within MERGE_TOL of an atom, with the same float
-    additions nudge_off_atom makes.
+    Rows go in ascending tau(stem), in _key_chunks ranges on _chunk_map's
+    threads.  A row with e = 0 is its own stem: its count is exact, and a
+    query within MERGE_TOL of one of its atoms is moved off it in masked
+    passes, with the float additions nudge_off_atom makes (n = 1 is never
+    moved).  A row with e >= 1 only flags, in near, a query whose shifted
+    threshold lies within 2 MERGE_TOL of a stem atom.
     """
-    tau = np.prod(np.take(table.exps, row, axis=0).astype(np.int64) + 1, axis=1)
-    key = tau * len(table) + row
-    order = np.argsort(key, kind="stable")
+    key = tau // (e + 1) * len(table) + stem
+    order = np.argsort(key)
     key = key[order]
-    tails = np.empty(len(t))
-    nudged = np.zeros(len(t), dtype=bool)
+    reps = e.astype(np.int64) + 1
+    tails = np.zeros(t.shape)
+    nudged = np.zeros(t.shape, dtype=bool)
+    near = np.zeros(t.shape, dtype=bool)
 
-    def nudge(chunk: tuple[int, int]) -> None:
+    def answer(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        atoms, base, n_tau = _chunk_atoms(table, key[lo:hi])
+        atoms, base, stem_tau = _chunk_atoms(table, key[lo:hi])
         pick = order[lo:hi]
-        n = table.n[row[pick]]
-        step = NUDGE_SCALE * np.array([log(v) for v in n.tolist()])
-        q = t[pick]
-        pos, gap = _search(atoms, base, q)
-        moving = (gap < MERGE_TOL) & (n != 1)
-        nudged[pick] = moving
-        for _ in range(64):
-            if not moving.any():
-                break
-            np.add(q, step, out=q, where=moving)
-            pos, gap = _search(atoms, base, q)
-            moving &= gap < MERGE_TOL
-        if moving.any():
-            stuck = int(n[np.argmax(moving)])
-            raise DomainError(f"could not move query off atoms of n = {stuck}")
-        tails[pick] = (n_tau - pos) / n_tau
+        # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
+        starts = np.cumsum(reps[pick]) - reps[pick]
+        child = np.repeat(np.arange(hi - lo), reps[pick])
+        s = np.take(t, pick[child], axis=0)
+        s -= ((np.arange(len(child)) - starts[child]) * log_p[pick[child]])[:, None]
+        pos, gap = _search(atoms, base[child][:, None], s)
+        own = e[pick] == 0
+        if own.any():
+            # an own-stem row asks all its queries on one query row
+            mine = starts[own]
+            n = table.n[rows[pick[own]]]
+            q, b = s[mine], base[own][:, None]
+            moving = (gap[mine] < MERGE_TOL) & (n != 1)[:, None]
+            nudged[pick[own]] = moving
+            step = NUDGE_SCALE * np.array([log(v) for v in n.tolist()])[:, None]
+            for _ in range(64):
+                if not moving.any():
+                    break
+                np.add(q, step, out=q, where=moving)
+                pos[mine], dist = _search(atoms, b, q)
+                moving &= dist < MERGE_TOL
+            if moving.any():
+                stuck = int(n[np.argmax(moving.any(axis=1))])
+                raise DomainError(f"could not move query off atoms of n = {stuck}")
+        np.subtract(stem_tau[child][:, None], pos, out=pos)
+        count = np.add.reduceat(pos, starts, axis=0)
+        tails[pick] = count / (stem_tau * reps[pick])[:, None]
+        close = np.logical_or.reduceat(gap < 2 * MERGE_TOL, starts, axis=0)
+        near[pick] = close & ~own[:, None]
 
-    _chunk_map(nudge, _key_chunks(key, len(table), np.ones(len(key), dtype=np.int64)))
-    return tails, nudged
+    _chunk_map(answer, _key_chunks(key, len(table), reps[order] * t.shape[1]))
+    return tails, nudged, near
 
 
 def table_upper_tails(
@@ -448,23 +471,22 @@ def table_upper_tails(
     divisors of n are d P^i with d | m and 0 <= i <= e, so
     count(log delta >= t) over the divisors of n is the sum over i of
     #{d | m : log d >= t - i log P}.
-    The sorted log d of each distinct stem are expanded once, and a binary
-    search answers each shifted threshold.  Rows are taken in ascending
-    tau(stem), in chunks of at most ATOM_BUDGET padded stem atoms and
-    ATOM_BUDGET shifted thresholds, on _chunk_map's threads.  _nudged_tails
-    runs the same chunks and search with each n as its own stem.
+    One count pass answers every query.  It expands the sorted log d of
+    each distinct stem once, rows in ascending tau(stem), in chunks of at
+    most ATOM_BUDGET padded stem atoms and ATOM_BUDGET shifted thresholds,
+    and a binary search answers each shifted threshold.
 
     np.log(d P^i) and np.log(d) + i log P differ by a few ulps of log n,
     under 1e-13 for n < 2**62.  So where every shifted threshold lies at
     least 2 MERGE_TOL from every log d, the count equals the one np.log of
     the divisors of n gives, no divisor lies within MERGE_TOL of t, and
-    count / tau is the tail exact_law gives unnudged.  The queries with a
-    shifted threshold within 2 MERGE_TOL of a log d (z = 0 on squares, and
-    n = 1, among them) are collected from every chunk and answered in one
-    batch from the full sorted log-divisors of their n, nudged off an atom
-    as nudge_off_atom would: the same floats exact_law, nudge_off_atom and
-    upper_tail give.  A row with tau > TAU_CEILING raises
-    ResourceLimitError, as exact_law would.
+    count / tau is the tail exact_law gives unnudged.  The pass flags the
+    other queries of shifted rows (z = 0 on squares, among them), and they
+    go through it again, each n its own stem with one query.  An own-stem
+    row's atoms are the values of its exact_law, and the pass moves a
+    query within MERGE_TOL of one off it as nudge_off_atom would: the same
+    floats exact_law, nudge_off_atom and upper_tail give.  A row with
+    tau > TAU_CEILING raises ResourceLimitError, as exact_law would.
     """
     rows = np.asarray(rows, dtype=np.int64)
     t = np.asarray(t, dtype=np.float64)
@@ -489,40 +511,15 @@ def table_upper_tails(
     alone = np.take(table.n, stem, mode="clip") != m
     stem[alone] = rows[alone]
     e[alone] = 0
-    key = tau // (e + 1) * len(table) + stem
-    del tau, last, m, stem, alone
     log_p = np.log(prime.astype(np.float64))
-    del prime
-    order = np.argsort(key)
-    key = key[order]
-
-    tails = np.zeros(t.shape)
-    nudged = np.zeros(t.shape, dtype=bool)
-    reps = e.astype(np.int64) + 1
-    table._slot_primes  # a cached_property: filled here, not raced for in a chunk
-
-    def stem_pass(chunk: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Write the chunk's rows of tails; return its flagged (position in
-        rows, query) pairs."""
-        lo, hi = chunk
-        atoms, base, stem_tau = _chunk_atoms(table, key[lo:hi])
-        pick = order[lo:hi]
-        # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
-        starts = np.cumsum(reps[pick]) - reps[pick]
-        child = np.repeat(np.arange(hi - lo), reps[pick])
-        s = np.take(t, pick[child], axis=0)
-        s -= ((np.arange(len(child)) - starts[child]) * log_p[pick[child]])[:, None]
-        pos, gap = _search(atoms, base[child][:, None], s)
-        np.subtract(stem_tau[child][:, None], pos, out=pos)
-        count = np.add.reduceat(pos, starts, axis=0)
-        tails[pick] = count / (stem_tau * reps[pick])[:, None]
-        c, j = np.nonzero(np.logical_or.reduceat(gap < 2 * MERGE_TOL, starts, axis=0))
-        return pick[c], j
-
-    near = _chunk_map(stem_pass, _key_chunks(key, len(table), reps[order] * t.shape[1]))
-    if near:
-        i, j = (np.concatenate(c) for c in zip(*near))
-        tails[i, j], nudged[i, j] = _nudged_tails(table, rows[i], t[i, j])
+    del last, m, alone, prime
+    tails, nudged, near = _count_pass(table, rows, tau, stem, e, log_p, t)
+    # each flagged query again, its n its own stem, one query a row
+    i, j = np.nonzero(near)
+    again, moved, _ = _count_pass(
+        table, rows[i], tau[i], rows[i], np.zeros_like(i), log_p[i], t[i, j][:, None]
+    )
+    tails[i, j], nudged[i, j] = again[:, 0], moved[:, 0]
     tails[np.isnan(t)] = 0.0
     return tails, nudged
 

@@ -47,6 +47,17 @@ def _check_range(x: int, y: int) -> None:
         raise ConfigError("y must be >= 2")
 
 
+def _check_memory(what: str, value: int, need: int) -> None:
+    """Raise ResourceLimitError if need bytes pass arith.MEMORY_CEILING,
+    naming value by its size in bits, not by its digits."""
+    if need > arith.MEMORY_CEILING:
+        raise ResourceLimitError(
+            f"{what} of {value.bit_length()} bits needs at least "
+            f"2**{need.bit_length() - 1} bytes, past the memory ceiling "
+            f"{arith.MEMORY_CEILING}"
+        )
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Rows (dataclass instances, one type per run kind) plus a meta dict."""
@@ -319,7 +330,11 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
     reference decay profile reported alongside for comparison; no rate
     assertion is made.  The meta carries a histogram of sigma_n/sigma_bar.
     Every f_k and sigma_n come from one table_moments pass over S(x, y).
+    A bins count whose histogram, at 16 bytes a bin, would pass
+    arith.MEMORY_CEILING raises ResourceLimitError before the enumeration.
     """
+    # np.histogram's int64 counts and float64 edges
+    _check_memory("a bin count", config.bins, 16 * config.bins)
     ctx = make_context(config.x, config.y)
     sigma_bar = ctx.sigma_bar
     model_means = {k: model_mean_additive(ctx, k) for k in config.k_list}
@@ -393,12 +408,7 @@ def arcsine_check(x: int, vs) -> RunResult:
     grid = _as_float_grid(vs)
     if any(not 0.0 < v <= 1.0 for v in grid):
         raise ConfigError("each v must lie in (0, 1]")
-    need = (x + 1) * ARCSINE_BYTES_PER_N
-    if need > arith.MEMORY_CEILING:
-        raise ResourceLimitError(
-            f"arcsine at x = {x} needs an estimated {need} bytes, "
-            f"past the memory ceiling {arith.MEMORY_CEILING}"
-        )
+    _check_memory("arcsine at an x", x, (x + 1) * ARCSINE_BYTES_PER_N)
     tau = kernels.tau_sieve(x)
     ratio = np.empty(x, dtype=np.float64)
     rows = []

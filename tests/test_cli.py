@@ -225,6 +225,36 @@ def test_tail_perron_leaves_numpy_ma_unimported():
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_the_cli_imports_no_scipy():
+    # NumPy is the only runtime dependency; SciPy serves the tests alone
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from friabilis import cli\n"
+        "runs = [\n"
+        "    ['tail', '--n', '963761198400', '--z', '0.7', '--perron', '200'],\n"
+        "    ['saddle', '--x', '1e6', '--y', '100'],\n"
+        "    ['average', '--x', '1e4', '--y', '30', '--z-grid', '0,0.5'],\n"
+        "    ['clt', '--x', '1e4', '--y', '30', '--z-grid', '0,0.5'],\n"
+        "    ['concentration', '--x', '1e4', '--y', '30'],\n"
+        "    ['arcsine', '--x', '1e4'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+        "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+
 @pytest.mark.parametrize(
     "argv,shorthand,plain",
     [
@@ -505,6 +535,34 @@ def test_arcsine_past_memory_ceiling_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert "memory ceiling" in err
+
+
+@pytest.mark.parametrize("bins", ["1e400", str(2**28 + 1)], ids=["1e400", "2**28+1"])
+def test_concentration_bins_past_the_memory_ceiling(capsys, monkeypatch, bins):
+    # 16 bytes a bin of counts and edges: 2**28 bins fill the 4 GiB ceiling,
+    # and one more is refused before the table is built
+    from friabilis import experiments
+
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(experiments, "smooth_table", no_table)
+    code, out, err = run_cli(capsys, "concentration", "--x", "100", "--y", "7", "--bins", bins)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert len(err) < 120
+    assert "memory ceiling" in err
+
+
+def test_arcsine_oversized_x_is_refused_by_size(capsys):
+    # the refusal names the size of x, not its 401 digits
+    code, out, err = run_cli(capsys, "arcsine", "--x", "1e400")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert len(err) < 120
+    assert "1329 bits" in err and "memory ceiling" in err
 
 
 def test_arcsine_benchmark_csv_digest(tmp_path):

@@ -245,15 +245,16 @@ def test_table_upper_tails_matches_per_n(x, y, sample, monkeypatch):
 
     laws = []
     full = []
-    batch = divdist._nudged_tails
+    count_pass = divdist._count_pass
 
-    def spy(table, row, t):
-        full.extend(table.n[row].tolist())
-        return batch(table, row, t)
+    def spy(table, rows, tau, stem, e, log_p, t):
+        # the rows answered from the full log-divisors of their own n
+        full.extend(table.n[rows[stem == rows]].tolist())
+        return count_pass(table, rows, tau, stem, e, log_p, t)
 
     monkeypatch.setattr(divdist, "exact_law", lambda f: laws.append(f))
     monkeypatch.setattr(divdist, "nudge_off_atom", lambda *a: laws.append(a))
-    monkeypatch.setattr(divdist, "_nudged_tails", spy)
+    monkeypatch.setattr(divdist, "_count_pass", spy)
     tails, nudged = table_upper_tails(table, rows, t)
     monkeypatch.undo()
     assert laws == []  # no per-n law is built

@@ -309,6 +309,16 @@ def test_arcsine_memory_ceiling(monkeypatch):
         arcsine_check(x, (0.5,))
 
 
+def test_concentration_bins_memory_ceiling(monkeypatch):
+    # counts and edges charge 16 bytes a bin, before any enumeration
+    bins = 10**5
+    monkeypatch.setattr(arith, "MEMORY_CEILING", 16 * bins)
+    res = run_concentration(ConcentrationRunConfig(x=1_000, y=30, bins=bins))
+    assert len(res.meta["sigma_histogram"]["counts"]) == bins
+    with pytest.raises(ResourceLimitError, match="memory ceiling"):
+        run_concentration(ConcentrationRunConfig(x=1_000, y=30, bins=bins + 1))
+
+
 def test_json_payload_shape():
     res = run_average(AverageRunConfig(x=X, y=Y, z_grid=(0.0, 0.5)))
     payload = json.loads(res.to_json())
