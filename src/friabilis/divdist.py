@@ -14,20 +14,23 @@ gathered in one pass over the slot columns.  table_upper_tails counts the
 divisors of n = m P^e (P its largest prime) from the log d of its stem m
 shifted by i log P.  n = 1, and a row whose stem the table lacks, is its
 own stem, with e = 0.  One count pass answers every query: over chunks of
-sorted log-divisors, expanded once per distinct stem, a search returns the
-count of atoms below a threshold and the distance to the nearest one.  An
-own-stem row's count is exact, and the pass moves its query off an atom
-closer than MERGE_TOL as nudge_off_atom would.  A shifted row only flags a
-query within 2 MERGE_TOL of a stem atom, and the flagged queries go
-through the same pass again, each n its own stem, so float rounding in the
-shift cannot change a count.  The chunks of a pass run on one thread per
-CPU in the process's affinity mask; each writes only its own rows and is
-joined in chunk order, so the results are identical for any CPU count.
+sorted log-divisors, expanded once per distinct stem, a branchless search
+of four array passes a level returns the count of atoms below a threshold
+and the distance to the nearest one.  An own-stem row's count is exact,
+and the pass moves its query off an atom closer than MERGE_TOL as
+nudge_off_atom would.  A shifted row only flags a query within 2 MERGE_TOL
+of a stem atom, set at those (row, query) pairs alone, and the flagged
+queries go through the same pass again, each n its own stem, so float
+rounding in the shift cannot change a count.  The chunks of a pass run on
+one thread per CPU in the process's affinity mask; each writes only its
+own rows, and results and errors are taken in chunk order, so they are
+identical for any CPU count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -342,21 +345,51 @@ def _usable_cpus() -> int:
 def _chunk_map(fn, ranges) -> list:
     """[fn(r) for r in ranges], on min(usable CPUs, len(ranges)) threads.
 
-    The chunks' NumPy passes release the GIL, and each chunk writes only
-    its own rows.  Results come back in chunk order, and the first chunk
-    in that order to raise is the one whose error is raised, so the
-    outcome does not depend on the thread count.
+    The calling thread and workers - 1 plain threads take chunks in order.
+    Each chunk writes only its own rows.  Results come back in chunk
+    order.  After a chunk raises, no thread starts another, and every
+    chunk before it has already started, so the first chunk in order to
+    raise is the one whose error is raised, once all threads are joined:
+    the outcome does not depend on the thread count.  Plain threads, not
+    concurrent.futures, which would import logging on the first pass.
+
+    Two threads ran a table_upper_tails pass at S(1e8, 30) about 1.2 to
+    1.4 times as fast as one on a 2-vCPU VM, and about as fast in some
+    runs: a chunk makes NumPy calls of 20 to 80 us on arrays of up to
+    ATOM_BUDGET items, so the threads pass the GIL back and forth between
+    them, and np.repeat holds it throughout.
     """
     ranges = list(ranges)
     workers = min(_usable_cpus(), len(ranges))
     if workers <= 1:
         return list(map(fn, ranges))
-    # imported here: concurrent.futures pulls in logging, a cost every
-    # process would otherwise pay at import
-    from concurrent.futures import ThreadPoolExecutor
+    results = [None] * len(ranges)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    todo = iter(range(len(ranges)))
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, ranges))
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(ranges[i])
+            except BaseException as error:  # re-raised below, after the join
+                with lock:
+                    errors[i] = error
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _search(
@@ -366,28 +399,42 @@ def _search(
     atoms at flat offset base.
 
     Each row of atoms is ascending and ends in +inf, so the count is at
-    most width - 1: a branchless binary search, one masked step per bit of
-    width - 1.  The distance is nearest_atom_gap's.
+    most width - 1, and the search runs over the first width - 1 atoms of
+    the row: a branchless binary search on a shrinking range (Khuong and
+    Morin, ACM JEA 2017).  pos starts at the row's flat offset, and each
+    level makes four array passes, none of them masked: gather the atom
+    at pos + half (from flat[half:]), compare it with s into an int64
+    step, multiply the step by half and add it to pos.  One final compare
+    adds the last step.  A masked update (np.copyto or np.add with where=)
+    costs several times these passes, since its mask is as random as the
+    comparisons.  A NaN threshold compares below nothing, so its count is
+    0 and its distance NaN.
+
+    The distance is nearest_atom_gap's: |a - s| for the atoms on either
+    side of s.  Below a row's first atom lies the +inf that ends the row
+    before it (row 0 clips to its own first atom), so a count of 0 needs
+    no mask either.  Every index is in range but that one, and mode="clip"
+    also spares the copy np.take makes of out= in its default mode.
     """
-    width = atoms.shape[1]
     flat = atoms.reshape(-1)
-    pos = np.zeros(s.shape, dtype=np.int64)
-    probe = np.empty_like(pos)
+    pos = np.repeat(base, s.shape[1], axis=1)
+    step = np.empty_like(pos)
     atom = np.empty(s.shape)
-    hit = np.empty(s.shape, dtype=bool)
-    for k in range((width - 1).bit_length() - 1, -1, -1):
-        np.add(pos, (1 << k) - 1, out=probe)
-        np.minimum(probe, width - 1, out=probe)
-        probe += base
-        np.less(np.take(flat, probe, out=atom), s, out=hit)
-        np.add(pos, 1 << k, out=pos, where=hit)
+    n = atoms.shape[1] - 1
+    while n > 1:
+        half = n // 2
+        np.less(np.take(flat[half:], pos, out=atom, mode="clip"), s, out=step)
+        step *= half
+        pos += step
+        n -= half
+    np.less(np.take(flat, pos, out=atom, mode="clip"), s, out=step)
+    pos += step
     # the nearest atom at or above s (+inf past the last), then below it
-    np.add(pos, base, out=probe)
-    gap = np.take(flat, probe) - s
-    np.maximum(pos, 1, out=probe)
-    probe += base - 1
-    np.subtract(s, np.take(flat, probe, out=atom), out=atom)
-    np.minimum(gap, atom, out=gap, where=pos > 0)
+    gap = np.take(flat, pos) - s
+    np.subtract(pos, 1, out=step)
+    np.subtract(np.take(flat, step, out=atom, mode="clip"), s, out=atom)
+    np.minimum(gap, np.abs(atom, out=atom), out=gap)
+    pos -= base
     return pos, gap
 
 
@@ -408,7 +455,9 @@ def _count_pass(
     query within MERGE_TOL of one of its atoms is moved off it in masked
     passes, with the float additions nudge_off_atom makes (n = 1 is never
     moved).  A row with e >= 1 only flags, in near, a query whose shifted
-    threshold lies within 2 MERGE_TOL of a stem atom.
+    threshold lies within 2 MERGE_TOL of a stem atom: near is set at those
+    (row, query) pairs alone, and each row's count is its shifted counts
+    summed, subtracted from tau.
     """
     key = tau // (e + 1) * len(table) + stem
     order = np.argsort(key)
@@ -446,11 +495,12 @@ def _count_pass(
             if moving.any():
                 stuck = int(n[np.argmax(moving.any(axis=1))])
                 raise DomainError(f"could not move query off atoms of n = {stuck}")
-        np.subtract(stem_tau[child][:, None], pos, out=pos)
-        count = np.add.reduceat(pos, starts, axis=0)
-        tails[pick] = count / (stem_tau * reps[pick])[:, None]
-        close = np.logical_or.reduceat(gap < 2 * MERGE_TOL, starts, axis=0)
-        near[pick] = close & ~own[:, None]
+        tau_n = (stem_tau * reps[pick])[:, None]
+        tails[pick] = (tau_n - np.add.reduceat(pos, starts, axis=0)) / tau_n
+        i, j = np.nonzero(gap < 2 * MERGE_TOL)
+        c = child[i]
+        shifted = ~own[c]
+        near[pick[c[shifted]], j[shifted]] = True
 
     _chunk_map(answer, _key_chunks(key, len(table), reps[order] * t.shape[1]))
     return tails, nudged, near
@@ -474,7 +524,7 @@ def table_upper_tails(
     One count pass answers every query.  It expands the sorted log d of
     each distinct stem once, rows in ascending tau(stem), in chunks of at
     most ATOM_BUDGET padded stem atoms and ATOM_BUDGET shifted thresholds,
-    and a binary search answers each shifted threshold.
+    and a branchless binary search answers each shifted threshold.
 
     np.log(d P^i) and np.log(d) + i log P differ by a few ulps of log n,
     under 1e-13 for n < 2**62.  So where every shifted threshold lies at

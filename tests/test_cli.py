@@ -225,6 +225,35 @@ def test_tail_perron_leaves_numpy_ma_unimported():
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_average_and_clt_leave_numpy_ma_and_futures_unimported():
+    # np.median imports numpy.ma, and concurrent.futures imports logging, on
+    # first use: about 17 ms that every cold average and clt would pay.  Two
+    # CPUs, so the count pass of average runs its chunks on two threads.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from friabilis import cli, divdist\n"
+        "divdist._usable_cpus = lambda: 2\n"
+        "runs = [\n"
+        "    ['average', '--x', '1e5', '--y', '30', '--z-grid', '0,0.5'],\n"
+        "    ['clt', '--x', '1e5', '--y', '30', '--z-grid', '0,0.5', '--sample-cap', '500'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in runs]\n"
+        "print(codes, [m in sys.modules for m in ('numpy.ma', 'concurrent.futures')])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] [False, False]"
+
+
 def test_the_cli_imports_no_scipy():
     # NumPy is the only runtime dependency; SciPy serves the tests alone
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -407,6 +407,34 @@ def test_chunk_map_answers_in_chunk_order(monkeypatch):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize(
+    "width", [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 130]
+)
+def test_search_matches_a_brute_force_oracle(width):
+    # padded rows of 1 to width - 1 sorted atoms; queries on an atom,
+    # between two, below 0, past the last atom, at random, and NaN
+    rng = np.random.default_rng(width)
+    taus = np.unique(np.r_[1, width - 1, rng.integers(1, width, 6)])
+    atoms = np.full((len(taus), width), np.inf)
+    for r, tau in enumerate(taus.tolist()):
+        atoms[r, :tau] = np.sort(rng.choice(np.arange(200.0), tau, replace=False)) / 8
+    row = rng.integers(len(taus), size=40)
+    s = np.empty((len(row), 7))
+    for a, r in enumerate(row.tolist()):
+        values = atoms[r, : taus[r]]
+        k = rng.integers(len(values))
+        top = values[min(k + 1, len(values) - 1)]
+        s[a] = (values[k], (values[k] + top) / 2, -0.5, values[-1] + 1, 0.0, rng.uniform(-1, 26), np.nan)
+    count, gap = divdist._search(atoms, (row * width)[:, None], s)
+    for a, r in enumerate(row.tolist()):
+        law = divdist.DivisorLaw(n=0, tau=int(taus[r]), values=atoms[r, : taus[r]], divisors=None)
+        for q, v in enumerate(s[a, :-1].tolist()):
+            assert count[a, q] == np.count_nonzero(law.values < v), (r, v)
+            assert gap[a, q] == law.nearest_atom_gap(v), (r, v)
+        # a NaN query counts no atom and is never flagged as near one
+        assert count[a, -1] == 0 and np.isnan(gap[a, -1])
+
+
 def test_log_divisors_are_far_apart():
     # for d1 < d2 | n, (d2 - d1) / d1 >= n**-0.5: no two atoms come within
     # MERGE_TOL of each other, even for n near 2**62 with two close primes

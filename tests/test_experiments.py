@@ -121,6 +121,40 @@ def test_clt_sampled_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 101, 1000])
+def test_median_is_np_median_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for a in (
+        rng.random(size) * 10.0 ** rng.integers(-6, 6),
+        rng.integers(0, 3, size) / 3.0,  # ties across the middle
+        np.abs(rng.standard_normal(size)) * 1e300,
+    ):
+        assert same_float(experiments._median(a), float(np.median(a)))
+
+
+def test_clt_median_is_np_median_bit_for_bit(monkeypatch):
+    # every sampled n is tested at these z, so the caps give an odd and an
+    # even n_tested
+    seen = []
+    median = experiments._median
+
+    def spy(errs):
+        seen.append((errs.copy(), median(errs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(experiments, "_median", spy)
+    for cap in (301, 302):
+        res = run_clt(CltRunConfig(x=10**5, y=30, z_grid=(0.0, 0.5), sample_cap=cap, seed=3))
+        assert [r.n_tested for r in res.rows] == [cap, cap]
+        assert [r.median_normalized_error for r in res.rows] == [m for _, m in seen[-2:]]
+    for errs, m in seen:
+        assert same_float(m, float(np.median(errs)))
+
+
 def test_clt_config_guards():
     with pytest.raises(ConfigError):
         CltRunConfig(x=1, y=Y, z_grid=(0.0,))
