@@ -99,6 +99,8 @@ def _cmd_rho(args) -> int:
 
 def _cmd_saddle(args) -> int:
     ctx = make_context(args.x, args.y)
+    # u past the rho table is refused before psi_exact spends its budget
+    dickman = psi_dickman_estimate(args.x, args.y)
     try:
         exact = psi_exact(args.x, args.y, limit=_PSI_EXACT_BUDGET)
     except ResourceLimitError:
@@ -111,7 +113,7 @@ def _cmd_saddle(args) -> int:
         ("u", ctx.u),
         ("u_bar", ctx.u_bar),
         ("psi_saddle", psi_saddle_estimate(ctx)),
-        ("psi_dickman", psi_dickman_estimate(args.x, args.y)),
+        ("psi_dickman", dickman),
         ("psi_exact", exact if exact is not None else "-"),
     ]
     if args.json:

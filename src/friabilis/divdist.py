@@ -13,18 +13,25 @@ code does, through one term per (prime, exponent) for every statistic, all
 gathered in one pass over the slot columns.  table_upper_tails counts the
 divisors of n = m P^e (P its largest prime) from the log d of its stem m
 shifted by i log P.  n = 1, and a row whose stem the table lacks, is its
-own stem, with e = 0.  One count pass answers every query: over chunks of
+own stem, with e = 0.  Stems are looked up on ascending m, a block of
+rows at a time.  One count pass answers every query: over chunks of
 sorted log-divisors, expanded once per distinct stem, a branchless search
 of four array passes a level returns the count of atoms below a threshold
-and the distance to the nearest one.  An own-stem row's count is exact,
-and the pass moves its query off an atom closer than MERGE_TOL as
-nudge_off_atom would.  A shifted row only flags a query within 2 MERGE_TOL
-of a stem atom, set at those (row, query) pairs alone, and the flagged
-queries go through the same pass again, each n its own stem, so float
-rounding in the shift cannot change a count.  The chunks of a pass run on
-one thread per CPU in the process's affinity mask; each writes only its
-own rows, and results and errors are taken in chunk order, so they are
-identical for any CPU count.
+and the distance to the nearest one.  The expansion gathers each copy's
+factor p^k from a small table of each slot column's powers.  Each thread
+of a pass keeps one set of chunk buffers for the whole pass, so the
+allocator does not return chunk memory to the system and fault it in
+again chunk after chunk: a process's first table_upper_tails call at
+S(1e8, 30), over all rows and four z, takes about 5,300 minor page faults
+on one thread, where it took about 30,500 without them.  An own-stem
+row's count is exact, and the pass moves its query off an atom closer
+than MERGE_TOL as nudge_off_atom would.  A shifted row only flags a query
+within 2 MERGE_TOL of a stem atom, set at those (row, query) pairs alone,
+and the flagged queries go through the same pass again, each n its own
+stem, so float rounding in the shift cannot change a count.  The chunks
+of a pass run on one thread per CPU in the process's affinity mask; each
+writes only its own rows, and results and errors are taken in chunk
+order, so they are identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log, sqrt
+from math import log, prod, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -263,29 +270,76 @@ def table_moments(table: SmoothTable, rows, columns) -> dict[str | int, np.ndarr
     return out
 
 
-def _log_divisors(primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
+class _Buffers:
+    """One thread's chunk arrays for one count pass, by name: the padded
+    atom rows, the gathered powers and the log output of the atom
+    expansion, the shifted thresholds, _search's pos, gap, step and atom,
+    and an index ramp.  Each is made on first use with `items` items, and
+    every chunk the thread answers reuses it, so a pass does not hand its
+    chunk memory back to the allocator and fault it in again.  A view of
+    more items than that, such as the chunk of one item past ATOM_BUDGET,
+    or any view of _Buffers(0), is a fresh array."""
+
+    def __init__(self, items: int) -> None:
+        self.items = items
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The first prod(shape) items of the named buffer, shaped."""
+        size = prod(shape)
+        if size > self.items:
+            return np.empty(shape, dtype)
+        if name not in self._arrays:
+            self._arrays[name] = np.empty(self.items, dtype)
+        return self._arrays[name][:size].reshape(shape)
+
+    def arange(self, size: int) -> np.ndarray:
+        """A read-only ramp 0, 1, ..., size - 1 (intp)."""
+        if size > self.items:
+            return np.arange(size)
+        if "ramp" not in self._arrays:
+            self._arrays["ramp"] = np.arange(self.items)
+        return self._arrays["ramp"][:size]
+
+
+def _log_divisors(
+    primes: np.ndarray, exps: np.ndarray, buffers: _Buffers
+) -> np.ndarray:
     """log d for every divisor of every row, the atoms of a row contiguous.
 
     The divisors are expanded with np.repeat, largest prime first, so the
-    high exponents of the small primes multiply the atom count last.
+    high exponents of the small primes multiply the atom count last.  A
+    column's e + 1 copies of a divisor take the factors p^0, ..., p^e,
+    gathered from a table of the column's powers: p^min(k, e) of each row
+    at row * w + k, w one past the column's largest exponent, so no power
+    wraps.  k is a copy's place in its run, the ramp 0, 1, ... less the
+    run's start.  np.log reads the int64 divisors, as float64, directly.
+    The gathered factors and the logs returned are views of buffers.
     """
-    owner = np.arange(len(primes), dtype=np.int32)
+    columns = [j for j in range(primes.shape[1] - 1, -1, -1) if exps[:, j].any()]
+    owner = buffers.arange(len(primes))
     d = np.ones(len(primes), dtype=np.int64)
-    for j in range(primes.shape[1] - 1, -1, -1):
-        if not exps[:, j].any():
-            continue
-        reps = exps[:, j][owner].astype(np.int64) + 1
-        owner = np.repeat(owner, reps)
+    for c, j in enumerate(columns):
+        e = exps[:, j].astype(np.intp)
+        w = int(e.max()) + 1
+        powers = primes[:, j][:, None] ** np.minimum(buffers.arange(w), e[:, None])
+        reps = np.take(e + 1, owner)
+        start = np.cumsum(reps)
+        start -= reps
+        base = owner * w
+        base -= start
+        index = np.repeat(base, reps)
+        index += buffers.arange(len(index))
+        factor = buffers.view("factor", index.shape, np.int64)
+        np.take(powers.reshape(-1), index, out=factor, mode="clip")
+        # freed before d is repeated: alive together, the two passed glibc's
+        # trim threshold, and a first pass faulted twice as often
+        del index
         d = np.repeat(d, reps)
-        # the exponent of p within each run of copies: 0, 1, ..., e
-        power = np.ones(len(d), dtype=np.int64)
-        power[0] = 0
-        power[np.cumsum(reps[:-1])] = 1 - reps[:-1]
-        np.cumsum(power, out=power)
-        factor = primes[:, j][owner]
-        np.power(factor, power, out=factor)
         d *= factor
-    return np.log(d.astype(np.float64))
+        if c + 1 < len(columns):
+            owner = np.repeat(owner, reps)
+    return np.log(d, out=buffers.view("logs", d.shape))
 
 
 def _key_chunks(
@@ -314,7 +368,7 @@ def _key_chunks(
 
 
 def _chunk_atoms(
-    table: SmoothTable, key: np.ndarray
+    table: SmoothTable, key: np.ndarray, buffers: _Buffers
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(atoms, base, tau) for one _key_chunks range of items, given its key,
     tau * len(table) + the row whose atoms are expanded, in ascending order.
@@ -322,14 +376,18 @@ def _chunk_atoms(
     atoms holds the log-divisors of each distinct row of the range,
     ascending, in a row of width = the last tau + 1 entries padded with
     +inf; base is each item's flat offset into atoms and tau its atom count.
+    atoms is a view of the buffers' padded atom rows, valid until the
+    thread's next chunk: the +inf fill rewrites every entry of the view, so
+    nothing of an earlier chunk remains in it.
     """
     first = np.diff(key, prepend=-1) != 0
     tau = key // len(table)
     rows = key[first] % len(table)
     width = int(tau[-1]) + 1
-    atoms = np.full((len(rows), width), np.inf)
-    atoms[np.arange(width) < tau[first][:, None]] = _log_divisors(
-        table.primes(rows), np.take(table.exps, rows, axis=0)
+    atoms = buffers.view("atoms", (len(rows), width))
+    atoms.fill(np.inf)
+    atoms[buffers.arange(width) < tau[first][:, None]] = _log_divisors(
+        table.primes(rows), np.take(table.exps, rows, axis=0), buffers
     )
     atoms.sort(axis=1)
     return atoms, (np.cumsum(first) - 1) * width, tau
@@ -393,7 +451,7 @@ def _chunk_map(fn, ranges) -> list:
 
 
 def _search(
-    atoms: np.ndarray, base: np.ndarray, s: np.ndarray
+    atoms: np.ndarray, base: np.ndarray, s: np.ndarray, buffers: _Buffers | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """#{a < s} and the distance from s to the nearest a, over the row of
     atoms at flat offset base.
@@ -415,11 +473,18 @@ def _search(
     before it (row 0 clips to its own first atom), so a count of 0 needs
     no mask either.  Every index is in range but that one, and mode="clip"
     also spares the copy np.take makes of out= in its default mode.
+
+    pos, gap and the scratch step and atom are views of buffers, so the
+    returned pos and gap hold until buffers is next used.  Without buffers
+    every array is fresh, as the nudge loop of _count_pass needs: it holds
+    the pos and gap of the chunk's search across its own searches.
     """
+    buffers = buffers or _Buffers(0)
     flat = atoms.reshape(-1)
-    pos = np.repeat(base, s.shape[1], axis=1)
-    step = np.empty_like(pos)
-    atom = np.empty(s.shape)
+    pos = buffers.view("pos", s.shape, np.int64)
+    pos[...] = base
+    step = buffers.view("step", s.shape, np.int64)
+    atom = buffers.view("atom", s.shape)
     n = atoms.shape[1] - 1
     while n > 1:
         half = n // 2
@@ -430,7 +495,8 @@ def _search(
     np.less(np.take(flat, pos, out=atom, mode="clip"), s, out=step)
     pos += step
     # the nearest atom at or above s (+inf past the last), then below it
-    gap = np.take(flat, pos) - s
+    gap = np.take(flat, pos, out=buffers.view("gap", s.shape), mode="clip")
+    gap -= s
     np.subtract(pos, 1, out=step)
     np.subtract(np.take(flat, step, out=atom, mode="clip"), s, out=atom)
     np.minimum(gap, np.abs(atom, out=atom), out=gap)
@@ -458,51 +524,72 @@ def _count_pass(
     threshold lies within 2 MERGE_TOL of a stem atom: near is set at those
     (row, query) pairs alone, and each row's count is its shifted counts
     summed, subtracted from tau.
+
+    Each thread takes one _Buffers on its first chunk and answers every
+    later chunk in it: the padded atom rows, the gathered powers and log
+    output of the atom expansion, the shifted thresholds s, the search's
+    pos, gap, step and atom, and the index ramp.  They are dropped when the
+    pass returns.  The sort keys are dropped once the chunks are cut, and
+    each chunk computes its own again, so the buffers do not raise the
+    peak memory of a pass.
     """
     key = tau // (e + 1) * len(table) + stem
     order = np.argsort(key)
-    key = key[order]
-    reps = e.astype(np.int64) + 1
+    queries = (e[order].astype(np.int64) + 1) * t.shape[1]
+    chunks = list(_key_chunks(key[order], len(table), queries))
+    # a chunk takes its keys again from its own rows, so no key array the
+    # size of rows is alive while the chunks fill tails
+    del key, queries
     tails = np.zeros(t.shape)
     nudged = np.zeros(t.shape, dtype=bool)
     near = np.zeros(t.shape, dtype=bool)
+    buffers: dict[int, _Buffers] = {}  # each thread's, for this pass
 
     def answer(chunk: tuple[int, int]) -> None:
         lo, hi = chunk
-        atoms, base, stem_tau = _chunk_atoms(table, key[lo:hi])
+        thread = threading.get_ident()
+        if thread not in buffers:
+            buffers[thread] = _Buffers(ATOM_BUDGET)
+        mine = buffers[thread]
         pick = order[lo:hi]
+        reps = e[pick].astype(np.int64) + 1
+        key = tau[pick] // reps * len(table) + stem[pick]
+        atoms, base, stem_tau = _chunk_atoms(table, key, mine)
         # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
-        starts = np.cumsum(reps[pick]) - reps[pick]
-        child = np.repeat(np.arange(hi - lo), reps[pick])
-        s = np.take(t, pick[child], axis=0)
-        s -= ((np.arange(len(child)) - starts[child]) * log_p[pick[child]])[:, None]
-        pos, gap = _search(atoms, base[child][:, None], s)
+        starts = np.cumsum(reps) - reps
+        child = np.repeat(np.arange(hi - lo), reps)
+        query = pick[child]
+        s = mine.view("s", (len(child), t.shape[1]))
+        np.take(t, query, axis=0, out=s, mode="clip")
+        s -= ((mine.arange(len(child)) - starts[child]) * log_p[query])[:, None]
+        pos, gap = _search(atoms, base[child][:, None], s, mine)
         own = e[pick] == 0
         if own.any():
             # an own-stem row asks all its queries on one query row
-            mine = starts[own]
+            first = starts[own]
             n = table.n[rows[pick[own]]]
-            q, b = s[mine], base[own][:, None]
-            moving = (gap[mine] < MERGE_TOL) & (n != 1)[:, None]
+            q, b = s[first], base[own][:, None]
+            moving = (gap[first] < MERGE_TOL) & (n != 1)[:, None]
             nudged[pick[own]] = moving
             step = NUDGE_SCALE * np.array([log(v) for v in n.tolist()])[:, None]
             for _ in range(64):
                 if not moving.any():
                     break
                 np.add(q, step, out=q, where=moving)
-                pos[mine], dist = _search(atoms, b, q)
+                # no buffers: pos and gap above are views of them
+                pos[first], dist = _search(atoms, b, q)
                 moving &= dist < MERGE_TOL
             if moving.any():
                 stuck = int(n[np.argmax(moving.any(axis=1))])
                 raise DomainError(f"could not move query off atoms of n = {stuck}")
-        tau_n = (stem_tau * reps[pick])[:, None]
+        tau_n = (stem_tau * reps)[:, None]
         tails[pick] = (tau_n - np.add.reduceat(pos, starts, axis=0)) / tau_n
         i, j = np.nonzero(gap < 2 * MERGE_TOL)
         c = child[i]
         shifted = ~own[c]
         near[pick[c[shifted]], j[shifted]] = True
 
-    _chunk_map(answer, _key_chunks(key, len(table), reps[order] * t.shape[1]))
+    _chunk_map(answer, chunks)
     return tails, nudged, near
 
 
@@ -521,6 +608,10 @@ def table_upper_tails(
     divisors of n are d P^i with d | m and 0 <= i <= e, so
     count(log delta >= t) over the divisors of n is the sum over i of
     #{d | m : log d >= t - i log P}.
+    The stems m = n // P^e are found by np.searchsorted on ascending m, a
+    block of ATOM_BUDGET rows at a time: sorted, the searches walk table.n
+    in order (about 0.2 s in place of 0.45 s over the 2.9M rows of
+    S(1e9, 100)), and no sort is as large as rows.
     One count pass answers every query.  It expands the sorted log d of
     each distinct stem once, rows in ascending tau(stem), in chunks of at
     most ATOM_BUDGET padded stem atoms and ATOM_BUDGET shifted thresholds,
@@ -554,18 +645,27 @@ def table_upper_tails(
     # n = 1 has last = -1, a padding slot (prime 1, e = 0): its own stem
     prime = table.primes((rows, last))
     e = exps[np.arange(len(rows)), last]
-    del exps
-    m = table.n[rows] // prime**e
-    stem = np.searchsorted(table.n, m)
-    # a row whose stem is not in the table is its own stem, with e = 0
-    alone = np.take(table.n, stem, mode="clip") != m
-    stem[alone] = rows[alone]
-    e[alone] = 0
+    del exps, last
+    # stems are looked up on ascending m, ATOM_BUDGET rows at a time
+    stem = np.empty_like(rows)
+    for lo in range(0, len(rows), ATOM_BUDGET):
+        block = slice(lo, lo + ATOM_BUDGET)
+        m = table.n[rows[block]] // prime[block] ** e[block]
+        order = np.argsort(m)
+        m = m[order]
+        found = np.searchsorted(table.n, m)
+        order += lo
+        # a row whose stem is not in the table is its own stem, with e = 0
+        alone = order[np.take(table.n, found, mode="clip") != m]
+        stem[order] = found
+        stem[alone] = rows[alone]
+        e[alone] = 0
     log_p = np.log(prime.astype(np.float64))
-    del last, m, alone, prime
+    del prime
     tails, nudged, near = _count_pass(table, rows, tau, stem, e, log_p, t)
     # each flagged query again, its n its own stem, one query a row
     i, j = np.nonzero(near)
+    del stem, e, near
     again, moved, _ = _count_pass(
         table, rows[i], tau[i], rows[i], np.zeros_like(i), log_p[i], t[i, j][:, None]
     )

@@ -281,6 +281,11 @@ def _contour_tail(law: DivisorLaw, t: float, beta: float, T: float, steps: int) 
         d0 = law.divisors[np.abs(law.values - t).argmin()]
         raise DomainError(f"query t = {t} collides with the atom log {d0}")
     lam = law.values - t
+    # past the float range, -lam (beta + iT) has an infinite part and E1 a NaN
+    if not isfinite(T * float(np.abs(lam).max())):
+        raise DomainError(
+            f"T = {T:g} is too large: T |log d - t| passes the float range"
+        )
     im = _exp1(-lam * complex(beta, T)).imag.sum()
     return (law.count_ge(t) - im / pi) / law.tau
 
@@ -298,10 +303,12 @@ def perron_tail_quadrature(
     the module docstring.
 
     Accuracy is limited by the truncation at T.  T must be finite and
-    >= 1, z must be positive (beta = 0 puts the contour on the pole) and
-    the query point t, half log n + z sigma unless given (see solve_beta),
-    must not be an atom: within MERGE_TOL of a log-divisor, as
-    nudge_off_atom decides it.  steps must be >= 1 and is otherwise unused.
+    >= 1, and T |log d - t| inside the float range for every divisor d
+    (past it E1 gives NaN).  z must be positive (beta = 0 puts the contour
+    on the pole) and the query point t, half log n + z sigma unless given
+    (see solve_beta), must not be an atom: within MERGE_TOL of a
+    log-divisor, as nudge_off_atom decides it.  steps must be >= 1 and is
+    otherwise unused.
     """
     z, _, t = _query(f, z, t)
     # _contour_tail refuses beta = 0, the tilt of z = 0

@@ -89,6 +89,19 @@ def test_saddle_past_the_rho_table_exits_2(capsys):
     assert "exceeds the table range" in err
 
 
+@pytest.mark.parametrize("x,y", [("1e300", "100"), ("1e80", "30")])
+def test_saddle_refuses_u_past_the_rho_table_before_counting(capsys, monkeypatch, x, y):
+    # psi_exact spent up to its 5M-node budget (0.2-0.3 s) before the refusal
+    def count(*args, **kwargs):
+        raise AssertionError("psi_exact ran before the rho table check")
+
+    monkeypatch.setattr(cli, "psi_exact", count)
+    code, out, err = run_cli(capsys, "saddle", "--x", x, "--y", y)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "exceeds the table range" in err
+
+
 def test_divdist_summary(capsys):
     code, out, _ = run_cli(capsys, "divdist", "--n", "60")
     assert code == 0
@@ -168,6 +181,21 @@ def test_tail_perron_rejects_bad_T(capsys, T):
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+
+def test_tail_perron_refuses_T_past_the_float_range(capsys):
+    # T |log d - t| past the float range once gave "perron": NaN, exit 0;
+    # T = 1e300 keeps every product finite
+    argv = ("tail", "--n", "720720", "--z", "0.5", "--perron")
+    code, out, err = run_cli(capsys, *argv, "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: T = 1e+308") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, *argv, "1e300")
+    assert code == 0
+    payload = json.loads(out)
+    assert math.isfinite(payload["perron"])
+    assert abs(payload["perron"] - payload["exact_tail"]) < 1e-12
 
 
 def test_tail_perron_takes_T_alone(capsys):

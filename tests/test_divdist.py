@@ -1,14 +1,17 @@
 """Exact log-divisor law: atoms, moments, tails, and the additive statistics,
 all checked against sqrt-divisor brute force."""
 
+import hashlib
 import itertools
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
 from math import isqrt, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +436,111 @@ def test_search_matches_a_brute_force_oracle(width):
             assert gap[a, q] == law.nearest_atom_gap(v), (r, v)
         # a NaN query counts no atom and is never flagged as near one
         assert count[a, -1] == 0 and np.isnan(gap[a, -1])
+
+
+def near_two_to_31_table():
+    """The products below 2**62 of 2, 4 and two primes near 2**31."""
+    p, q = 2147483629, 2147483647
+    n = [1, 2, 4, p, q, 2 * p, 2 * q, p * q]
+    slots = [(3, 3), (0, 3), (0, 3), (1, 3), (2, 3), (0, 1), (0, 2), (1, 2)]
+    exps = [(0, 0), (1, 0), (2, 0), (1, 0), (1, 0), (1, 1), (1, 1), (1, 1)]
+    return SmoothTable(
+        n=np.array(n, dtype=np.int64),
+        slots=np.array(slots, dtype=np.uint8),
+        exps=np.array(exps, dtype=np.int8),
+        basis=np.array([2, p, q], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_table",
+    [
+        lambda: smooth_table(10**8, 30),
+        lambda: smooth_table(2 * 10**4, 2 * 10**4),
+        near_two_to_31_table,
+    ],
+    ids=["S(1e8,30)", "S(2e4,2e4)", "primes-near-2^31"],
+)
+def test_chunk_atoms_are_the_exact_law_values(make_table):
+    # one thread's buffers take a wide chunk, then a narrower one, then a
+    # wide one again, so an entry left from an earlier chunk would show
+    table = make_table()
+    tau = np.prod(table.exps.astype(np.int64) + 1, axis=1)
+    by_tau = np.argsort(tau, kind="stable")
+    # in S(1e8, 30), 2**26 shares slot column 0 with 29**5, so that column's
+    # power table is 27 wide and each row must read its own p^0, ..., p^e
+    special = np.searchsorted(table.n, [2**26, 29**5])
+    special = special[np.take(table.n, special, mode="clip") == [2**26, 29**5]]
+    chunks = [
+        np.r_[by_tau[-40:], special],
+        by_tau[:600:3],
+        np.r_[by_tau[-80:-40], by_tau[-1], special],
+    ]
+    buffers = divdist._Buffers(divdist.ATOM_BUDGET)
+    for rows in chunks:
+        rows = np.r_[rows, rows[:3]]  # items that share a stem share its atoms
+        key = np.sort(tau[rows] * len(table) + rows)
+        atoms, base, got_tau = divdist._chunk_atoms(table, key, buffers)
+        assert atoms.size <= divdist.ATOM_BUDGET  # a view of the buffers
+        flat = atoms.reshape(-1)
+        for item, k in enumerate(key.tolist()):
+            row = k % len(table)
+            f = Factorization(
+                tuple(
+                    (p, e)
+                    for p, e in zip(table.primes(row).tolist(), table.exps[row].tolist())
+                    if e
+                )
+            )
+            assert f.n == int(table.n[row])
+            want = exact_law(f).values
+            padded = flat[base[item] : base[item] + atoms.shape[1]]
+            assert got_tau[item] == len(want)
+            assert padded[: len(want)].tobytes() == want.tobytes(), f.n
+            assert np.all(padded[len(want) :] == np.inf), f.n
+
+
+def tails_digest(tails, nudged):
+    return hashlib.sha256(tails.tobytes() + nudged.tobytes()).hexdigest()
+
+
+def test_table_upper_tails_passes_share_no_buffers(tmp_path, monkeypatch):
+    # S(1e6, 30), every third row of S(1e5, 1000), then S(1e6, 30) again, on
+    # one thread and on four: each gives the bytes a fresh interpreter gives
+    cases = []
+    for x, y, step in ((10**6, 30, 1), (10**5, 1000, 3)):
+        table = smooth_table(x, y)
+        rows = np.arange(0, len(table), step, dtype=np.int64)
+        cases.append((table, rows, tail_queries(table, rows, seed=step)))
+    src = str(Path(divdist.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    fresh = []
+    for k, (table, rows, t) in enumerate(cases):
+        np.save(tmp_path / f"t{k}.npy", t)
+        script = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from friabilis.arith import smooth_table\n"
+            "from friabilis.divdist import table_upper_tails\n"
+            f"table = smooth_table({int(table.n[-1])}, {int(table.basis[-1])})\n"
+            f"rows = np.arange(0, len(table), {int(rows[1] - rows[0])})\n"
+            f"tails, nudged = table_upper_tails(table, rows, np.load(sys.argv[1]))\n"
+            "print(hashlib.sha256(tails.tobytes() + nudged.tobytes()).hexdigest())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / f"t{k}.npy")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(proc.stdout.strip())
+    for cpus in (1, 4):
+        monkeypatch.setattr(divdist, "_usable_cpus", lambda: cpus)
+        for k in (0, 1, 0):
+            table, rows, t = cases[k]
+            assert tails_digest(*table_upper_tails(table, rows, t)) == fresh[k], (cpus, k)
 
 
 def test_log_divisors_are_far_apart():
