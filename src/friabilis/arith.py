@@ -21,14 +21,15 @@ SIEVE_CEILING = 10**7  # largest admissible sieve limit
 ENUM_CEILING = 10**8  # largest admissible |S(x, y)| per enumeration
 MEMO_CEILING = 10**7  # largest admissible recursion memo table
 N_CEILING = 2**62  # divisor products must stay inside int64
-MEMORY_CEILING = 4 * 2**30  # largest admissible estimated bytes of a smooth_table
+MEMORY_CEILING = 4 * 2**30  # largest admissible estimated bytes of one growth of S(x, y)
 # Bytes per row of S(x, y) that smooth_table's estimate charges.  The build
-# alone peaks at 66 (tracemalloc: 194 MB for the 2,944,730 rows of
+# alone peaks at 61 (tracemalloc: 180 MB for the 2,944,730 rows of
 # S(1e9, 100), with every row gather along axis 0); a whole `average` run,
 # the heaviest caller, at 181 (peak RSS 1,590 MB for the 8,800,084 rows of
 # S(1e10, 100)).  The larger, rounded up: at this rate S(1e10, 100) needs
 # 1.7 GB and S(1e11, 100), 24.9M rows, 4.8 GB, past the ceiling.
 ROW_BYTES = 192
+LARGE_BLOCK = 2**16  # most rows of a smooth_blocks block of n with P(n) > sqrt(x)
 
 
 class _PrimeCache:
@@ -213,48 +214,118 @@ class SmoothTable:
                 yield f
 
 
-def smooth_table(x, y) -> SmoothTable:
-    """S(x, y) as a SmoothTable, for 1 <= x < 2**62; |S(x, y)| >
-    ENUM_CEILING raises ResourceLimitError.
-
-    Rows grow from n = 1 one prime at a time, in ascending order, so a new
-    factor always lands in the next free slot, and each row is complete
-    when it is made: a copy of its parent's row with one slot written.  The
-    slot width, the most primes any n <= x can have, is known up front.  A
-    prime p <= sqrt(x) gives every row with n p^k <= x a child n p^k.  Only
-    the live rows, those with n <= x / p, can take p or a later prime; each
-    prime filters them and adds its children, so no step rescans the whole
-    table.  A prime p > sqrt(x) divides n at most once and as its largest
-    prime, so its children are p times the live rows up to x / p, a prefix
-    of them sorted by n.  The row count, and the bytes estimated from it at
-    ROW_BYTES a row, are checked against ENUM_CEILING and MEMORY_CEILING
-    before each step allocates its rows.
-    """
-    x = int(x)
-    y = int(y)
+def _check_x(x: int) -> None:
     if x < 1:
         raise DomainError("x must be >= 1")
     if x >= N_CEILING:
         raise DomainError(f"x must be < 2**62, got an integer of {x.bit_length()} bits")
-    basis = sieve_primes(min(x, y))
-    slot_type = np.min_scalar_type(len(basis))
-    root = isqrt(x)
+
+
+def _keep(rows: tuple, mask: np.ndarray) -> tuple:
+    return tuple(np.compress(mask, c, axis=0) for c in rows)
+
+
+def smooth_blocks(x, y, row_bytes: int, root: tuple, times) -> Iterator[tuple]:
+    """S(x, y), for 1 <= x < 2**62, in the blocks its growth makes: the row
+    n = 1, then for each prime p <= sqrt(x), ascending, the rows n p^k for
+    k = 1, 2, ..., then the n whose largest prime passes sqrt(x), at most
+    LARGE_BLOCK rows a block.  Blocks are disjoint, and every n of S(x, y)
+    is in one.
+
+    A block is a tuple of columns, n (int64) first, each with one entry
+    (or row) per n.  root is the block of n = 1, and times(rows, i, k, pk) is a block of rows
+    times p^k, pk = p**k and p = basis[i], basis the primes <= min(x, y).
+    Past sqrt(x), i and pk hold one value a row, and k = 1.  A block
+    yielded is also a parent of later ones: read it, do not write it.
+
+    Rows grow from n = 1 one prime at a time, in ascending order, so a new
+    factor is always the largest so far.  A prime p <= sqrt(x) gives every
+    row with n p^k <= x a child n p^k.  Only the live rows, those with
+    n <= x / p, can take p or a later prime; each prime's parents and
+    children are filtered to the next prime's bound before they are joined
+    into the next live rows, so no step rescans S(x, y).  A prime
+    p > sqrt(x) divides n at most once and as its largest prime, so its
+    children are p times the live rows up to x / p, a prefix of them
+    sorted by n.  Before each block is made, the count of rows so far is
+    checked against ENUM_CEILING, and the bytes it needs at row_bytes a
+    row against MEMORY_CEILING; either raises ResourceLimitError.  x is
+    checked at the call.
+    """
+    x = int(x)
+    y = int(y)
+    _check_x(x)
 
     def check(size: int) -> None:
         if size > ENUM_CEILING:
             raise ResourceLimitError(
                 f"enumeration of S({x}, {y}) exceeds ceiling {ENUM_CEILING}"
             )
-        if size * ROW_BYTES > MEMORY_CEILING:
+        if size * row_bytes > MEMORY_CEILING:
             raise ResourceLimitError(
-                f"table of S({x}, {y}) needs at least {size} rows, an estimated "
-                f"{size * ROW_BYTES} bytes, past the memory ceiling {MEMORY_CEILING}"
+                f"S({x}, {y}) needs at least {size} rows, an estimated "
+                f"{size * row_bytes} bytes, past the memory ceiling {MEMORY_CEILING}"
             )
 
-    def keep(rows, mask):
-        return tuple(np.compress(mask, c, axis=0) for c in rows)
+    def grow() -> Iterator[tuple]:
+        basis = sieve_primes(min(x, y))
+        small = int(np.searchsorted(basis, isqrt(x), side="right"))
+        # x // the next prime: the bound of the live rows after each prime
+        # (none are kept after the last)
+        bounds = (x // basis[1:]).tolist() + [0]
+        yield root
+        live, size = root, 1
+        for i, p in enumerate(basis[:small].tolist()):
+            bound = bounds[i]
+            grown, rows, pk, k = [_keep(live, live[0] <= bound)], live, p, 1
+            while len(rows[0]):
+                size += len(rows[0])
+                check(size)
+                block = times(rows, i, k, pk)
+                yield block
+                grown.append(_keep(block, block[0] <= bound))
+                pk *= p
+                k += 1
+                rows = _keep(rows, rows[0] <= x // pk)
+            live = tuple(np.concatenate(c) for c in zip(*grown))
+            del grown
+        if small < len(basis):
+            large = basis[small:]
+            order = np.argsort(live[0])
+            live = tuple(np.take(c, order, axis=0) for c in live)
+            del order
+            # each large prime's parents are a prefix of the live rows
+            counts = np.searchsorted(live[0], x // large, side="right")
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            total = int(ends[-1])
+            check(size + total)
+            for lo in range(0, total, LARGE_BLOCK):
+                at = np.arange(lo, min(lo + LARGE_BLOCK, total))
+                j = np.searchsorted(ends, at, side="right")
+                parents = tuple(np.take(c, at - starts[j], axis=0) for c in live)
+                yield times(parents, small + j, 1, large[j])
 
-    def times(rows, i, k, pk):  # i and pk may hold one value per row
+    return grow()
+
+
+def smooth_table(x, y) -> SmoothTable:
+    """S(x, y) as a SmoothTable, for 1 <= x < 2**62; |S(x, y)| >
+    ENUM_CEILING, or |S(x, y)| ROW_BYTES > MEMORY_CEILING, raises
+    ResourceLimitError before the step that passes it allocates its rows.
+
+    The rows are smooth_blocks' (n, omega, slots, exps).  A prime joins a
+    row in ascending order, so it always lands in the next free slot, and
+    each row is complete when it is made: a copy of its parent's row with
+    one slot written.  The slot width, the most primes any n <= x can
+    have, is known up front.  The blocks are joined and sorted by n.
+    """
+    x = int(x)
+    y = int(y)
+    _check_x(x)
+    basis = sieve_primes(min(x, y))
+    slot_type = np.min_scalar_type(len(basis))
+
+    def times(rows, i, k, pk):
         n, omega, slots, exps = rows
         slots, exps = slots.copy(), exps.copy()
         at = np.arange(len(n)), omega
@@ -269,44 +340,14 @@ def smooth_table(x, y) -> SmoothTable:
             break
         width += 1
     width = max(width, 1)  # n = 1 keeps one padding slot
-    # a row is (n, omega, slots, exps); live holds the rows with n <= x / p
-    live = (
+    root = (
         np.ones(1, dtype=np.int64),
         np.zeros(1, dtype=np.int8),
         np.full((1, width), len(basis), dtype=slot_type),
         np.zeros((1, width), dtype=np.int8),
     )
-    blocks = [live]
-    size = 1
-    small = int(np.searchsorted(basis, root, side="right"))
-    for i, p in enumerate(basis[:small].tolist()):
-        live = keep(live, live[0] <= x // p)
-        grown, rows, pk, k = [live], live, p, 1
-        while len(rows[0]):
-            size += len(rows[0])
-            check(size)
-            grown.append(times(rows, i, k, pk))
-            pk *= p
-            k += 1
-            rows = keep(rows, rows[0] <= x // pk)
-        blocks += grown[1:]
-        live = tuple(np.concatenate(c) for c in zip(*grown))
-
-    if small < len(basis):
-        large = basis[small:]
-        order = np.argsort(live[0])
-        counts = np.searchsorted(live[0][order], x // large, side="right")
-        total = int(counts.sum())
-        check(size + total)
-        starts = np.cumsum(counts) - counts
-        par = order[np.arange(total) - np.repeat(starts, counts)]
-        index = np.repeat(np.arange(small, len(basis), dtype=slot_type), counts)
-        parents = tuple(np.take(c, par, axis=0) for c in live)
-        blocks.append(times(parents, index, 1, np.repeat(large, counts)))
-
-    # freed before the sort copies the columns: at S(1e9, 100) the traced
-    # peak falls from 71 to 66 bytes a row
-    del live
+    # the growth ends before the join, so its live rows are freed first
+    blocks = list(smooth_blocks(x, y, ROW_BYTES, root, times))
     n, _, slots, exps = (np.concatenate(c) for c in zip(*blocks))
     del blocks
     order = np.argsort(n)

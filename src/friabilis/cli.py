@@ -178,16 +178,18 @@ _FIELD_PARSERS = {
 }
 
 
-def _add_config_flags(sub, config_type) -> None:
-    """One --flag per field of a run config, named after the field.  A field
-    without a default is a required flag; an optional flag left out sets
-    nothing, so the config's own default applies."""
+def _add_config_flags(sub, config_type, helps=None) -> None:
+    """One --flag per field of a run config, named after the field, with
+    its text from helps, by field name.  A field without a default is a
+    required flag; an optional flag left out sets nothing, so the config's
+    own default applies."""
     for field in dataclasses.fields(config_type):
         sub.add_argument(
             "--" + field.name.replace("_", "-"),
             type=_FIELD_PARSERS[field.type],
             required=field.default is dataclasses.MISSING,
             default=argparse.SUPPRESS,
+            help=(helps or {}).get(field.name),
         )
 
 
@@ -245,7 +247,16 @@ def _build_parser() -> argparse.ArgumentParser:
     clt.set_defaults(handler=_cmd_clt)
 
     avg = subs.add_parser("average", help="ensemble-averaged tails over S(x, y)")
-    _add_config_flags(avg, AverageRunConfig)
+    _add_config_flags(
+        avg,
+        AverageRunConfig,
+        {
+            # argparse reads a value that starts with "-" and is not one
+            # number as a flag
+            "z_grid": "comma-separated z values; a list that starts with a "
+            "negative one takes the = form: --z-grid=-0.5,0,0.5",
+        },
+    )
     _add_output_flags(avg)
     avg.set_defaults(handler=_cmd_average)
 

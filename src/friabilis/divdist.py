@@ -36,6 +36,7 @@ order, so they are identical for any CPU count.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from bisect import bisect_right
@@ -47,7 +48,13 @@ from typing import Iterator
 import numpy as np
 
 from friabilis._backend import kernels
-from friabilis.arith import N_CEILING, Factorization, SmoothTable
+from friabilis.arith import (
+    N_CEILING,
+    Factorization,
+    SmoothTable,
+    sieve_primes,
+    smooth_blocks,
+)
 from friabilis.errors import DomainError, ResourceLimitError
 from friabilis.saddle import SaddleContext
 
@@ -196,9 +203,35 @@ def additive_fk(f: Factorization, k: int) -> float:
     return sum((e * log(p)) ** k for p, e in f.factors)
 
 
-def _prime_logs(table: SmoothTable) -> np.ndarray:
-    """math.log(p) for each prime of table.basis, then 0.0 for padding."""
-    return np.array([log(p) for p in table.basis.tolist()] + [0.0])
+def _check_column(column) -> None:
+    if column in ("log_n", "m2", "m4") or (isinstance(column, int) and 0 <= column <= 8):
+        return
+    raise DomainError(f'a column is "log_n", "m2", "m4" or k in 0..8, not {column!r}')
+
+
+def _term(column, log_p: float, e: int) -> float:
+    """What one factor p^e, e >= 1 and log_p = math.log(p), adds to the sum
+    of a table_moments column before m2 and m4 are scaled: the term of the
+    per-n loops, by the same IEEE operations.  An f_k term is raised by
+    Python's float pow, as additive_fk does; at k = 0 it is 1.0."""
+    if column == "log_n":
+        return e * log_p
+    lp2 = log_p * log_p
+    if column == "m2":
+        return e * (e + 2) * lp2
+    if column == "m4":
+        return e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2
+    return (e * log_p) ** column
+
+
+def _scaled(column, total: np.ndarray) -> np.ndarray:
+    """A column's sums as table_moments returns them: m2 over 12, m4 over
+    240, the others as they are."""
+    if column == "m2":
+        return total / 12.0
+    if column == "m4":
+        return total / 240.0
+    return total
 
 
 def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.ndarray:
@@ -218,56 +251,75 @@ def table_moments(table: SmoothTable, rows, columns) -> dict[str | int, np.ndarr
     moments()) or an int k in 0..8 (additive_fk(f, k)), each bit for bit;
     anything else raises DomainError.
 
-    Each term of the per-n loops is computed once per (basis index,
-    exponent), for the columns asked, by the same IEEE operations, and one
-    pass over the slot columns gathers it into every sum.  f_k terms are
-    raised by Python's float pow, as additive_fk does, for each e >= 1 up to
-    one past log_p of the largest n; at k = 0 each is 1.0, so f_0 sums to
-    omega.  Padding slots (log p = 0.0, e = 0) add exactly 0.0 to each sum,
-    so summing all columns from 0 repeats the per-n loops over the real
-    factors.
+    Each term of the per-n loops (_term) is computed once per (basis index,
+    exponent), for the columns asked and for each e >= 1 up to one past
+    log_p of the largest n, and one pass over the slot columns gathers it
+    into every sum.  Padding slots (index len(basis), e = 0) read 0.0, which
+    adds exactly 0.0 to each sum, so summing all columns from 0 repeats the
+    per-n loops over the real factors.
     """
     if isinstance(rows, slice):
         slots, exps = table.slots[rows], table.exps[rows]
     else:
         slots, exps = (np.take(c, rows, axis=0) for c in (table.slots, table.exps))
-    logs = _prime_logs(table)
-    lp = logs[:, None]
-    lp2 = lp * lp
+    asked = list(dict.fromkeys(columns))
+    for c in asked:
+        _check_column(c)
+    logs = [log(p) for p in table.basis.tolist()]
     width = int(exps.max(initial=0)) + 1
-    e = np.arange(width, dtype=np.int64)
     top = log(int(table.n[-1]))
     pairs = [
-        (i * width + e, e * log_p)
-        for i, log_p in enumerate(logs[:-1].tolist())
+        (i * width + e, log_p, e)
+        for i, log_p in enumerate(logs)
         for e in range(1, min(int(top / log_p) + 2, width))
     ]
-    asked = list(dict.fromkeys(columns))
+    index = [i for i, _, _ in pairs]
     terms = []
     for c in asked:
-        if c == "log_n":
-            term = e * lp
-        elif c == "m2":
-            term = e * (e + 2) * lp2
-        elif c == "m4":
-            term = e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2
-        elif isinstance(c, int) and 0 <= c <= 8:
-            term = np.zeros(logs.size * width)
-            term[[i for i, _ in pairs]] = [b**c for _, b in pairs]
-        else:
-            raise DomainError(f'a column is "log_n", "m2", "m4" or k in 0..8, not {c!r}')
-        terms.append(term.ravel())
+        term = np.zeros((len(logs) + 1) * width)
+        term[index] = [_term(c, log_p, e) for _, log_p, e in pairs]
+        terms.append(term)
     sums = np.zeros((len(terms), len(exps)))
     for j in range(exps.shape[1]):
         index = _term_index(slots, exps, j, width)
         for total, term in zip(sums, terms):
             total += np.take(term, index)
-    out = dict(zip(asked, sums))
-    if "m2" in out:
-        out["m2"] /= 12.0
-    if "m4" in out:
-        out["m4"] /= 240.0
-    return out
+    return {c: _scaled(c, total) for c, total in zip(asked, sums)}
+
+
+def moment_blocks(
+    x, y, columns, row_bytes: int
+) -> Iterator[tuple[np.ndarray, dict[str | int, np.ndarray]]]:
+    """S(x, y) in arith.smooth_blocks' blocks, each as (n, {column: float64
+    array}): the columns of table_moments, bit for bit, row by row, with
+    row_bytes charged a row against the ceilings.  Columns are checked, and
+    x, as smooth_blocks checks it, before the first block.
+
+    A row carries n and one float64 sum per distinct column asked; a child
+    adds the _term of its new factor p^k to its parent's sums.  Primes join
+    a row in ascending order, the order of a table's slot columns, so each
+    sum adds the same terms in the same order as table_moments' pass, where
+    padding adds 0.0 at the end.
+    """
+    asked = list(dict.fromkeys(columns))
+    for c in asked:
+        _check_column(c)
+
+    @functools.cache
+    def linear() -> np.ndarray:  # every prime's terms at e = 1
+        return np.array([[_term(c, log_p, 1) for c in asked] for log_p in logs])
+
+    def times(rows, i, k, pk):
+        n, sums = rows
+        if np.ndim(i):  # a block past sqrt(x): k = 1, one prime a row
+            return n * pk, sums + np.take(linear(), i, axis=0)
+        return n * pk, sums + [_term(c, logs[i], k) for c in asked]
+
+    root = np.ones(1, dtype=np.int64), np.zeros((1, len(asked)))
+    blocks = smooth_blocks(x, y, row_bytes, root, times)  # checks x before the sieve
+    logs = [log(p) for p in sieve_primes(min(int(x), int(y))).tolist()]
+    for n, sums in blocks:
+        yield n, {c: _scaled(c, sums[:, j]) for j, c in enumerate(asked)}
 
 
 class _Buffers:
@@ -411,11 +463,12 @@ def _chunk_map(fn, ranges) -> list:
     the outcome does not depend on the thread count.  Plain threads, not
     concurrent.futures, which would import logging on the first pass.
 
-    Two threads ran a table_upper_tails pass at S(1e8, 30) about 1.2 to
-    1.4 times as fast as one on a 2-vCPU VM, and about as fast in some
-    runs: a chunk makes NumPy calls of 20 to 80 us on arrays of up to
-    ATOM_BUDGET items, so the threads pass the GIL back and forth between
-    them, and np.repeat holds it throughout.
+    Two threads do not pay at every size.  On a 2-vCPU VM, alternating
+    warm table_upper_tails passes over all rows and four z took 118 ms on
+    one thread and 126 ms on two at S(1e8, 30), and 3.04 s and 2.31 s at
+    S(1e9, 100).  A chunk makes NumPy calls of 20 to 80 us on arrays of up
+    to ATOM_BUDGET items, so the threads pass the GIL back and forth
+    between them, and np.repeat holds it throughout.
     """
     ranges = list(ranges)
     workers = min(_usable_cpus(), len(ranges))

@@ -21,6 +21,7 @@ from friabilis._backend import BACKEND, kernels
 from friabilis.arith import smooth_table
 from friabilis.divdist import (
     model_mean_additive,
+    moment_blocks,
     table_moments,
     table_upper_tails,
 )
@@ -326,6 +327,16 @@ class ConcentrationRunConfig:
             raise ConfigError("bins must be >= 1")
 
 
+# Bytes per row of S(x, y) that run_concentration's growth is charged
+# against arith.MEMORY_CEILING, before 8 more for each float64 column its
+# rows carry: m2 and each distinct k.  Its traced peak, over x = 1e6 ... 1e9
+# and y = 3 ... 1e5 (Psi from 2e4 to 4e6), was at most 45 bytes a row with
+# the default three k (56 charged) and 85 with all nine (104 charged), both
+# at S(1e9, 13), where the live rows are most of S(x, y); at S(1e7, 100)
+# and S(1e9, 100) it is 17 and 19.
+CONCENTRATION_ROW_BYTES = 24
+
+
 @dataclass(frozen=True)
 class ConcentrationRow:
     k: int
@@ -340,9 +351,16 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
     One row per (k, delta).  The shape column exp(-delta^2 u_bar) is the
     reference decay profile reported alongside for comparison; no rate
     assertion is made.  The meta carries a histogram of sigma_n/sigma_bar.
-    Every f_k and sigma_n come from one table_moments pass over S(x, y).
-    A bins count whose histogram, at 16 bytes a bin, would pass
-    arith.MEMORY_CEILING raises ResourceLimitError before the enumeration.
+
+    The run folds divdist.moment_blocks, which grows S(x, y) with m2 and
+    every f_k carried as sums on each row, bit for bit those of
+    table_moments.  It keeps, per (k, delta), the integer count of n past
+    delta, whose ratio to |S(x, y)| is the float np.mean gives, and the
+    sigma_n/sigma_bar column, joined for np.histogram once the growth ends.
+    No table is built or sorted.  The growth is charged
+    CONCENTRATION_ROW_BYTES and 8 bytes a column, a row.  A bins count
+    whose histogram, at 16 bytes a bin, would pass arith.MEMORY_CEILING
+    raises ResourceLimitError before the enumeration.
     """
     # np.histogram's int64 counts and float64 edges
     _check_memory("a bin count", config.bins, 16 * config.bins)
@@ -350,22 +368,36 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
     sigma_bar = ctx.sigma_bar
     model_means = {k: model_mean_additive(ctx, k) for k in config.k_list}
 
-    table = smooth_table(config.x, config.y)
-    mom = table_moments(table, slice(None), ("m2", *config.k_list))
-    # row 0 is n = 1, which has no spread
-    sigma_ratios = np.sqrt(mom["m2"][1:]) / sigma_bar
+    ks = list(model_means)
+    # a repeated delta (0.0 and -0.0 among them) is counted once
+    deltas = list(dict.fromkeys(config.thresholds))
+    past = {(k, d): 0 for k in ks for d in deltas}
+    ratios = []
+    psi = 0
+    row_bytes = CONCENTRATION_ROW_BYTES + 8 * (1 + len(ks))
+    for n, mom in moment_blocks(config.x, config.y, ("m2", *ks), row_bytes):
+        psi += len(n)
+        for k in ks:
+            dev = mom[k] / model_means[k]
+            dev -= 1.0
+            np.abs(dev, out=dev)
+            for d in deltas:
+                past[k, d] += int(np.count_nonzero(dev > d))
+        ratio = np.sqrt(mom["m2"], out=mom["m2"])
+        ratio /= sigma_bar
+        ratios.append(ratio)
+    ratios[0] = ratios[0][1:]  # the first block is n = 1, which has no spread
+    sigma_ratios = np.concatenate(ratios)
+    del ratios
 
     rows = []
     for k in config.k_list:
-        dev = mom[k] / model_means[k]
-        dev -= 1.0
-        np.abs(dev, out=dev)
         for d in config.thresholds:
             rows.append(
                 ConcentrationRow(
                     k=k,
                     delta=d,
-                    fraction=float(np.mean(dev > d)),
+                    fraction=past[k, d] / psi,
                     shape=exp(-d * d * ctx.u_bar),
                 )
             )
@@ -376,7 +408,7 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
         u_bar=ctx.u_bar,
         sigma_bar=sigma_bar,
         model_means={str(k): model_means[k] for k in config.k_list},
-        psi=len(table),
+        psi=psi,
         sigma_histogram={"edges": edges.tolist(), "counts": counts.tolist()},
     )
     return RunResult(rows=tuple(rows), meta=meta)

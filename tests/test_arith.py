@@ -306,6 +306,19 @@ def test_smooth_table_build_peak_within_row_bytes():
     assert peak <= len(table) * ROW_BYTES
 
 
+@pytest.mark.parametrize("x,y", [(10**4, 10**5), (3 * 10**4, 1619)])
+def test_smooth_table_past_sqrt_x_in_blocks_of_any_size(monkeypatch, x, y):
+    # the n with a prime past sqrt(x) come LARGE_BLOCK rows at a time; the
+    # table does not depend on how many
+    from friabilis import arith
+
+    want = smooth_table(x, y)
+    monkeypatch.setattr(arith, "LARGE_BLOCK", 777)
+    got = smooth_table(x, y)
+    for a, b in zip((got.n, got.slots, got.exps), (want.n, want.slots, want.exps)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_enumeration_is_sorted_unique():
     ns = [f.n for f in enumerate_smooth(10**5, 13)]
     assert ns == sorted(set(ns))

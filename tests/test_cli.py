@@ -446,6 +446,19 @@ def test_average_stdout(capsys):
     assert float(cells[2]) == pytest.approx(0.5, abs=0.02)
 
 
+def test_average_negative_z_grid_in_the_equals_form(capsys):
+    # argparse takes "--z-grid -0.5,0" for two flags; the = form reads the
+    # list, and the law's symmetry makes the tails at -z and z sum to 1
+    # where no query is nudged
+    code, out, err = run_cli(
+        capsys, "average", "--x", "1e5", "--y", "30", "--z-grid=-0.5,0,0.5", "--json"
+    )
+    assert (code, err) == (0, "")
+    rows = {row["z"]: row for row in json.loads(out)["rows"]}
+    assert rows[-0.5]["nudged"] == rows[0.5]["nudged"] == 0
+    assert rows[-0.5]["mean_tail"] + rows[0.5]["mean_tail"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_average_empty_grid(capsys):
     code, _, err = run_cli(capsys, "average", "--x", "1e4", "--y", "30", "--z-grid", "")
     assert code == 2
@@ -597,13 +610,13 @@ def test_arcsine_past_memory_ceiling_exit_code(capsys):
 @pytest.mark.parametrize("bins", ["1e400", str(2**28 + 1)], ids=["1e400", "2**28+1"])
 def test_concentration_bins_past_the_memory_ceiling(capsys, monkeypatch, bins):
     # 16 bytes a bin of counts and edges: 2**28 bins fill the 4 GiB ceiling,
-    # and one more is refused before the table is built
-    from friabilis import experiments
+    # and one more is refused before S(x, y) is grown
+    from friabilis import divdist
 
-    def no_table(*args):
-        raise AssertionError("the table was built")
+    def no_growth(*args):
+        raise AssertionError("S(x, y) was grown")
 
-    monkeypatch.setattr(experiments, "smooth_table", no_table)
+    monkeypatch.setattr(divdist, "smooth_blocks", no_growth)
     code, out, err = run_cli(capsys, "concentration", "--x", "100", "--y", "7", "--bins", bins)
     assert code == 3
     assert out == ""

@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friabilis import divdist
+from friabilis import arith, divdist
 from friabilis.arith import Factorization, SmoothTable, factorize, smooth_table
 from friabilis.divdist import (
     additive_fk,
     exact_law,
     exact_upper_tail,
     model_mean_additive,
+    moment_blocks,
     moments,
     nudge_off_atom,
     table_moments,
@@ -619,6 +620,43 @@ def test_table_moments_computes_only_the_columns_asked(x, y, slot_dtype):
     for bad in (("m3",), ("log_n", "sigma"), "m2", (9,), (1, -1)):
         with pytest.raises(DomainError):
             table_moments(table, slice(None), bad)
+
+
+@pytest.mark.parametrize("large_block", [arith.LARGE_BLOCK, 999], ids=["default", "999"])
+@pytest.mark.parametrize(
+    "x,y",
+    [(10**5, 30), (10**4, 150), (10**5, 1619), (2 * 10**4, 2 * 10**4), (10**6, 2)],
+    ids=["S(1e5,30)", "S(1e4,150)", "S(1e5,1619)", "S(2e4,2e4)", "S(1e6,2)"],
+)
+def test_moment_blocks_are_table_moments(x, y, large_block, monkeypatch):
+    # the growth's sums, sorted by n, are table_moments' floats bit for bit;
+    # all but the first and last sizes reach the primes past sqrt(x), and a
+    # LARGE_BLOCK of 999 cuts them into several blocks
+    monkeypatch.setattr(arith, "LARGE_BLOCK", large_block)
+    columns = (*MOMENT_NAMES, *range(9))
+    blocks = list(moment_blocks(x, y, columns, arith.ROW_BYTES))
+    assert all(list(sums) == list(columns) for _, sums in blocks)
+    n = np.concatenate([n for n, _ in blocks])
+    order = np.argsort(n)
+    table = smooth_table(x, y)
+    assert np.array_equal(n[order], table.n)
+    want = table_moments(table, slice(None), columns)
+    for column in columns:
+        got = np.concatenate([sums[column] for _, sums in blocks])[order]
+        assert got.tobytes() == want[column].tobytes(), column
+
+
+def test_moment_blocks_refuse_like_the_table(monkeypatch):
+    # the ceilings charge the caller's bytes a row; columns are checked first
+    rows = 5_158  # Psi(1e5, 30)
+    monkeypatch.setattr(arith, "MEMORY_CEILING", rows * 40)
+    assert sum(len(n) for n, _ in moment_blocks(10**5, 30, ("m2", 0), 40)) == rows
+    with pytest.raises(ResourceLimitError, match="memory ceiling"):
+        list(moment_blocks(10**5, 30, ("m2", 0), 41))
+    with pytest.raises(DomainError):
+        list(moment_blocks(10**5, 30, ("m3",), 40))
+    with pytest.raises(DomainError, match="x must be >= 1"):
+        list(moment_blocks(0, 30, ("m2",), 40))
 
 
 def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):

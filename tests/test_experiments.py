@@ -4,6 +4,7 @@ statistical sanity of each run kind at desk scale."""
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import exp
 
@@ -249,18 +250,46 @@ def test_concentration_rows_and_meta():
     assert len(hist["edges"]) == len(hist["counts"]) + 1
 
 
-def test_concentration_reads_each_slot_column_once(monkeypatch):
-    # every f_k, and sigma_n, gather from one pass over the slot columns
-    calls = []
-    term_index = divdist._term_index
+def test_concentration_builds_no_table(monkeypatch):
+    # the counts and the histogram fold the growth of S(x, y): no table, and
+    # no slot-column pass over one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table path was called")
 
-    def spy(slots, exps, j, width):
-        calls.append(j)
-        return term_index(slots, exps, j, width)
+    for module in (arith, experiments):
+        monkeypatch.setattr(module, "smooth_table", refuse)
+    for module in (divdist, experiments):
+        monkeypatch.setattr(module, "table_moments", refuse)
+    res = run_concentration(ConcentrationRunConfig(x=10**5, y=100, k_list=(0, 1, 2, 3, 8)))
+    assert res.meta["psi"] == psi_exact(10**5, 100)
 
-    monkeypatch.setattr(divdist, "_term_index", spy)
-    run_concentration(ConcentrationRunConfig(x=10**5, y=100, k_list=(0, 1, 2, 3, 8)))
-    assert calls == list(range(arith.smooth_table(10**5, 100).exps.shape[1]))
+
+@pytest.mark.parametrize(
+    "x,y,k_list",
+    [
+        (10**7, 100, (0, 1, 2)),
+        (10**7, 100, tuple(range(9))),
+        (10**8, 30, tuple(range(9))),
+        (10**9, 13, tuple(range(9))),
+        (10**6, 10**5, tuple(range(9))),
+    ],
+    ids=["S(1e7,100)", "S(1e7,100)-k0..8", "S(1e8,30)-k0..8", "S(1e9,13)-k0..8", "S(1e6,1e5)-k0..8"],
+)
+def test_concentration_peak_within_row_bytes(x, y, k_list):
+    # the growth charges CONCENTRATION_ROW_BYTES and 8 a column a row; the
+    # whole run must fit
+    config = ConcentrationRunConfig(x=x, y=y, k_list=k_list)
+    run_concentration(config)  # the primes and the rho table are cached
+    tracemalloc.start()
+    try:
+        res = run_concentration(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_bytes = experiments.CONCENTRATION_ROW_BYTES + 8 * (1 + len(k_list))
+    assert peak <= res.meta["psi"] * row_bytes
+    if (x, y, k_list) == (10**7, 100, (0, 1, 2)):
+        assert peak <= res.meta["psi"] * 32  # the table path took ~81 a row
 
 
 def test_concentration_config_guards():
@@ -579,6 +608,18 @@ def test_clt_matches_per_n_oracle(config, tmp_path):
 )
 def test_concentration_matches_per_n_oracle(config, tmp_path):
     assert_same_output(run_concentration(config), oracle_concentration(config), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "thresholds", [(0.1, 0.1, 0.25), (0.0, -0.0, 0.5)], ids=["repeat", "signed-zero"]
+)
+def test_concentration_counts_a_repeated_threshold_once(thresholds, tmp_path):
+    config = ConcentrationRunConfig(x=10**5, y=100, thresholds=thresholds)
+    got = run_concentration(config)
+    assert_same_output(got, oracle_concentration(config), tmp_path)
+    fractions = {(r.k, r.delta): r.fraction for r in got.rows}
+    for r in got.rows:
+        assert r.fraction == fractions[r.k, r.delta] <= 1.0
 
 
 @pytest.mark.parametrize(
