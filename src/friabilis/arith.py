@@ -221,6 +221,21 @@ def _check_x(x: int) -> None:
         raise DomainError(f"x must be < 2**62, got an integer of {x.bit_length()} bits")
 
 
+def _check_size(x: int, y: int, size: int, row_bytes: int) -> None:
+    """Refuse S(x, y) when `size`, a count of its rows or a floor of it,
+    passes ENUM_CEILING, or its bytes at row_bytes a row pass
+    MEMORY_CEILING."""
+    if size > ENUM_CEILING:
+        raise ResourceLimitError(
+            f"enumeration of S({x}, {y}) exceeds ceiling {ENUM_CEILING}"
+        )
+    if size * row_bytes > MEMORY_CEILING:
+        raise ResourceLimitError(
+            f"S({x}, {y}) needs at least {size} rows, an estimated "
+            f"{size * row_bytes} bytes, past the memory ceiling {MEMORY_CEILING}"
+        )
+
+
 def _keep(rows: tuple, mask: np.ndarray) -> tuple:
     return tuple(np.compress(mask, c, axis=0) for c in rows)
 
@@ -255,17 +270,6 @@ def smooth_blocks(x, y, row_bytes: int, root: tuple, times) -> Iterator[tuple]:
     y = int(y)
     _check_x(x)
 
-    def check(size: int) -> None:
-        if size > ENUM_CEILING:
-            raise ResourceLimitError(
-                f"enumeration of S({x}, {y}) exceeds ceiling {ENUM_CEILING}"
-            )
-        if size * row_bytes > MEMORY_CEILING:
-            raise ResourceLimitError(
-                f"S({x}, {y}) needs at least {size} rows, an estimated "
-                f"{size * row_bytes} bytes, past the memory ceiling {MEMORY_CEILING}"
-            )
-
     def grow() -> Iterator[tuple]:
         basis = sieve_primes(min(x, y))
         small = int(np.searchsorted(basis, isqrt(x), side="right"))
@@ -279,7 +283,7 @@ def smooth_blocks(x, y, row_bytes: int, root: tuple, times) -> Iterator[tuple]:
             grown, rows, pk, k = [_keep(live, live[0] <= bound)], live, p, 1
             while len(rows[0]):
                 size += len(rows[0])
-                check(size)
+                _check_size(x, y, size, row_bytes)
                 block = times(rows, i, k, pk)
                 yield block
                 grown.append(_keep(block, block[0] <= bound))
@@ -298,7 +302,7 @@ def smooth_blocks(x, y, row_bytes: int, root: tuple, times) -> Iterator[tuple]:
             ends = np.cumsum(counts)
             starts = ends - counts
             total = int(ends[-1])
-            check(size + total)
+            _check_size(x, y, size + total, row_bytes)
             for lo in range(0, total, LARGE_BLOCK):
                 at = np.arange(lo, min(lo + LARGE_BLOCK, total))
                 j = np.searchsorted(ends, at, side="right")
@@ -311,7 +315,10 @@ def smooth_blocks(x, y, row_bytes: int, root: tuple, times) -> Iterator[tuple]:
 def smooth_table(x, y) -> SmoothTable:
     """S(x, y) as a SmoothTable, for 1 <= x < 2**62; |S(x, y)| >
     ENUM_CEILING, or |S(x, y)| ROW_BYTES > MEMORY_CEILING, raises
-    ResourceLimitError before the step that passes it allocates its rows.
+    ResourceLimitError before any row is made.  When x itself passes a
+    ceiling (|S(x, y)| <= x), the rows are counted first by psi_recursive's
+    recursion, stopped one row past the ceilings: about 3 ms at
+    S(1e8, 30), and 0.2 s to refuse S(1e11, 100).
 
     The rows are smooth_blocks' (n, omega, slots, exps).  A prime joins a
     row in ascending order, so it always lands in the next free slot, and
@@ -323,6 +330,9 @@ def smooth_table(x, y) -> SmoothTable:
     y = int(y)
     _check_x(x)
     basis = sieve_primes(min(x, y))
+    cap = min(ENUM_CEILING, MEMORY_CEILING // ROW_BYTES)
+    if x > cap:
+        _check_size(x, y, _psi_count(x, basis.tolist(), stop=cap + 1), ROW_BYTES)
     slot_type = np.min_scalar_type(len(basis))
 
     def times(rows, i, k, pk):

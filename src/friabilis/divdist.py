@@ -18,27 +18,25 @@ rows at a time.  One count pass answers every query: over chunks of
 sorted log-divisors, expanded once per distinct stem, a branchless search
 of four array passes a level returns the count of atoms below a threshold
 and the distance to the nearest one.  The expansion gathers each copy's
-factor p^k from a small table of each slot column's powers.  Each thread
-of a pass keeps one set of chunk buffers for the whole pass, so the
-allocator does not return chunk memory to the system and fault it in
-again chunk after chunk: a process's first table_upper_tails call at
-S(1e8, 30), over all rows and four z, takes about 5,300 minor page faults
-on one thread, where it took about 30,500 without them.  An own-stem
+factor p^k from a small table of each slot column's powers.  An own-stem
 row's count is exact, and the pass moves its query off an atom closer
 than MERGE_TOL as nudge_off_atom would.  A shifted row only flags a query
 within 2 MERGE_TOL of a stem atom, set at those (row, query) pairs alone,
 and the flagged queries go through the same pass again, each n its own
-stem, so float rounding in the shift cannot change a count.  The chunks
-of a pass run on one thread per CPU in the process's affinity mask; each
-writes only its own rows, and results and errors are taken in chunk
-order, so they are identical for any CPU count.
+stem, so float rounding in the shift cannot change a count.  A pass
+answers its chunks in order on one thread, the caller's, and keeps one
+set of chunk buffers for the whole pass, so the allocator does not return
+chunk memory to the system and fault it in again chunk after chunk: a
+process's first table_upper_tails call at S(1e8, 30), over all rows and
+four z, takes about 5,300 minor page faults, where it took about 30,500
+without them.  On a 2-vCPU VM a second thread made the pass slower at
+S(1e8, 30), 126 ms against 118 ms warm, and paid only at S(1e9, 100),
+where `average` takes a median 4.6 s on one thread and took 4.0 s on two.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -323,14 +321,14 @@ def moment_blocks(
 
 
 class _Buffers:
-    """One thread's chunk arrays for one count pass, by name: the padded
-    atom rows, the gathered powers and the log output of the atom
-    expansion, the shifted thresholds, _search's pos, gap, step and atom,
-    and an index ramp.  Each is made on first use with `items` items, and
-    every chunk the thread answers reuses it, so a pass does not hand its
-    chunk memory back to the allocator and fault it in again.  A view of
-    more items than that, such as the chunk of one item past ATOM_BUDGET,
-    or any view of _Buffers(0), is a fresh array."""
+    """The chunk arrays of one count pass, by name: the padded atom rows,
+    the gathered powers and the log output of the atom expansion, the
+    shifted thresholds, _search's pos, gap, step and atom, and an index
+    ramp.  Each is made on first use with `items` items, and every chunk
+    of the pass reuses it, so a pass does not hand its chunk memory back to
+    the allocator and fault it in again.  A view of more items than that,
+    such as the chunk of one item past ATOM_BUDGET, or any view of
+    _Buffers(0), is a fresh array."""
 
     def __init__(self, items: int) -> None:
         self.items = items
@@ -428,9 +426,9 @@ def _chunk_atoms(
     atoms holds the log-divisors of each distinct row of the range,
     ascending, in a row of width = the last tau + 1 entries padded with
     +inf; base is each item's flat offset into atoms and tau its atom count.
-    atoms is a view of the buffers' padded atom rows, valid until the
-    thread's next chunk: the +inf fill rewrites every entry of the view, so
-    nothing of an earlier chunk remains in it.
+    atoms is a view of the buffers' padded atom rows, valid until the next
+    chunk: the +inf fill rewrites every entry of the view, so nothing of an
+    earlier chunk remains in it.
     """
     first = np.diff(key, prepend=-1) != 0
     tau = key // len(table)
@@ -443,64 +441,6 @@ def _chunk_atoms(
     )
     atoms.sort(axis=1)
     return atoms, (np.cumsum(first) - 1) * width, tau
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _chunk_map(fn, ranges) -> list:
-    """[fn(r) for r in ranges], on min(usable CPUs, len(ranges)) threads.
-
-    The calling thread and workers - 1 plain threads take chunks in order.
-    Each chunk writes only its own rows.  Results come back in chunk
-    order.  After a chunk raises, no thread starts another, and every
-    chunk before it has already started, so the first chunk in order to
-    raise is the one whose error is raised, once all threads are joined:
-    the outcome does not depend on the thread count.  Plain threads, not
-    concurrent.futures, which would import logging on the first pass.
-
-    Two threads do not pay at every size.  On a 2-vCPU VM, alternating
-    warm table_upper_tails passes over all rows and four z took 118 ms on
-    one thread and 126 ms on two at S(1e8, 30), and 3.04 s and 2.31 s at
-    S(1e9, 100).  A chunk makes NumPy calls of 20 to 80 us on arrays of up
-    to ATOM_BUDGET items, so the threads pass the GIL back and forth
-    between them, and np.repeat holds it throughout.
-    """
-    ranges = list(ranges)
-    workers = min(_usable_cpus(), len(ranges))
-    if workers <= 1:
-        return list(map(fn, ranges))
-    results = [None] * len(ranges)
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    todo = iter(range(len(ranges)))
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(ranges[i])
-            except BaseException as error:  # re-raised below, after the join
-                with lock:
-                    errors[i] = error
-                return
-
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def _search(
@@ -569,22 +509,21 @@ def _count_pass(
     """(tails, nudged, near), each shaped like t, for table rows whose n
     has tau divisors and is stem * P**e, log P = log_p, at thresholds t.
 
-    Rows go in ascending tau(stem), in _key_chunks ranges on _chunk_map's
-    threads.  A row with e = 0 is its own stem: its count is exact, and a
-    query within MERGE_TOL of one of its atoms is moved off it in masked
-    passes, with the float additions nudge_off_atom makes (n = 1 is never
-    moved).  A row with e >= 1 only flags, in near, a query whose shifted
-    threshold lies within 2 MERGE_TOL of a stem atom: near is set at those
-    (row, query) pairs alone, and each row's count is its shifted counts
-    summed, subtracted from tau.
+    Rows go in ascending tau(stem), in _key_chunks ranges answered in
+    order on the calling thread.  A row with e = 0 is its own stem: its
+    count is exact, and a query within MERGE_TOL of one of its atoms is
+    moved off it in masked passes, with the float additions nudge_off_atom
+    makes (n = 1 is never moved).  A row with e >= 1 only flags, in near, a
+    query whose shifted threshold lies within 2 MERGE_TOL of a stem atom:
+    near is set at those (row, query) pairs alone, and each row's count is
+    its shifted counts summed, subtracted from tau.
 
-    Each thread takes one _Buffers on its first chunk and answers every
-    later chunk in it: the padded atom rows, the gathered powers and log
-    output of the atom expansion, the shifted thresholds s, the search's
-    pos, gap, step and atom, and the index ramp.  They are dropped when the
-    pass returns.  The sort keys are dropped once the chunks are cut, and
-    each chunk computes its own again, so the buffers do not raise the
-    peak memory of a pass.
+    One _Buffers serves every chunk of the pass: the padded atom rows, the
+    gathered powers and log output of the atom expansion, the shifted
+    thresholds s, the search's pos, gap, step and atom, and the index ramp.
+    They are dropped when the pass returns.  The sort keys are dropped once
+    the chunks are cut, and each chunk computes its own again, so the
+    buffers do not raise the peak memory of a pass.
     """
     key = tau // (e + 1) * len(table) + stem
     order = np.argsort(key)
@@ -596,26 +535,20 @@ def _count_pass(
     tails = np.zeros(t.shape)
     nudged = np.zeros(t.shape, dtype=bool)
     near = np.zeros(t.shape, dtype=bool)
-    buffers: dict[int, _Buffers] = {}  # each thread's, for this pass
-
-    def answer(chunk: tuple[int, int]) -> None:
-        lo, hi = chunk
-        thread = threading.get_ident()
-        if thread not in buffers:
-            buffers[thread] = _Buffers(ATOM_BUDGET)
-        mine = buffers[thread]
+    buffers = _Buffers(ATOM_BUDGET)
+    for lo, hi in chunks:
         pick = order[lo:hi]
         reps = e[pick].astype(np.int64) + 1
         key = tau[pick] // reps * len(table) + stem[pick]
-        atoms, base, stem_tau = _chunk_atoms(table, key, mine)
+        atoms, base, stem_tau = _chunk_atoms(table, key, buffers)
         # row c asks t - i log P for i = 0, ..., e, on the query rows from starts[c]
         starts = np.cumsum(reps) - reps
         child = np.repeat(np.arange(hi - lo), reps)
         query = pick[child]
-        s = mine.view("s", (len(child), t.shape[1]))
+        s = buffers.view("s", (len(child), t.shape[1]))
         np.take(t, query, axis=0, out=s, mode="clip")
-        s -= ((mine.arange(len(child)) - starts[child]) * log_p[query])[:, None]
-        pos, gap = _search(atoms, base[child][:, None], s, mine)
+        s -= ((buffers.arange(len(child)) - starts[child]) * log_p[query])[:, None]
+        pos, gap = _search(atoms, base[child][:, None], s, buffers)
         own = e[pick] == 0
         if own.any():
             # an own-stem row asks all its queries on one query row
@@ -641,8 +574,6 @@ def _count_pass(
         c = child[i]
         shifted = ~own[c]
         near[pick[c[shifted]], j[shifted]] = True
-
-    _chunk_map(answer, chunks)
     return tails, nudged, near
 
 

@@ -345,6 +345,19 @@ def test_smooth_table_memory_ceiling(monkeypatch, x, y):
         smooth_table(x, y)
 
 
+def test_smooth_table_refuses_before_it_grows(monkeypatch):
+    # S(1e11, 100) has 24,877,422 rows, past the memory ceiling: the count
+    # refuses it before a single block is made
+    from friabilis import arith
+
+    def no_growth(*args):
+        raise AssertionError("smooth_blocks ran")
+
+    monkeypatch.setattr(arith, "smooth_blocks", no_growth)
+    with pytest.raises(ResourceLimitError, match="past the memory ceiling"):
+        smooth_table(10**11, 100)
+
+
 @pytest.mark.parametrize("x", [0, -5])
 def test_smooth_table_refuses_x_below_one(x):
     # S(x, y) is empty for x < 1, which a table that starts from the row

@@ -255,21 +255,26 @@ def test_tail_perron_leaves_numpy_ma_unimported():
 
 def test_average_and_clt_leave_numpy_ma_and_futures_unimported():
     # np.median imports numpy.ma, and concurrent.futures imports logging, on
-    # first use: about 17 ms that every cold average and clt would pay.  Two
-    # CPUs, so the count pass of average runs its chunks on two threads.
+    # first use: about 17 ms that every cold average and clt would pay.  The
+    # count pass of average runs its chunks on the calling thread alone.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
-        "import contextlib, io, sys\n"
-        "from friabilis import cli, divdist\n"
-        "divdist._usable_cpus = lambda: 2\n"
+        "import contextlib, io, sys, threading\n"
+        "from friabilis import cli\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "def spy(thread):\n"
+        "    started.append(thread)\n"
+        "    start(thread)\n"
+        "threading.Thread.start = spy\n"
         "runs = [\n"
         "    ['average', '--x', '1e5', '--y', '30', '--z-grid', '0,0.5'],\n"
         "    ['clt', '--x', '1e5', '--y', '30', '--z-grid', '0,0.5', '--sample-cap', '500'],\n"
         "]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in runs]\n"
-        "print(codes, [m in sys.modules for m in ('numpy.ma', 'concurrent.futures')])\n"
+        "print(codes, [m in sys.modules for m in ('numpy.ma', 'concurrent.futures')], len(started))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -279,7 +284,7 @@ def test_average_and_clt_leave_numpy_ma_and_futures_unimported():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] [False, False]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] [False, False] 0"
 
 
 def test_the_cli_imports_no_scipy():

@@ -7,8 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
 from fractions import Fraction
 from math import isqrt, log
 from pathlib import Path
@@ -341,74 +339,34 @@ def whole_case():
 
 
 @pytest.mark.parametrize("case", [whole_case, stemless_case, nudge_case])
-def test_table_upper_tails_is_the_same_on_any_number_of_threads(case, monkeypatch):
-    # 256 padded atoms a chunk split every pass into dozens of chunks or more,
-    # answered on one thread and on a pool of four
+def test_table_upper_tails_is_the_same_on_any_chunking(case, monkeypatch):
+    # 256 padded atoms a chunk split every pass into dozens of chunks or more
     table, rows, t = case()
     want_tails, want_nudged = per_n_tails(table, rows, t)
+    budget = divdist.ATOM_BUDGET
     monkeypatch.setattr(divdist, "ATOM_BUDGET", 256)
     chunks = []
-    chunk_map = divdist._chunk_map
+    key_chunks = divdist._key_chunks
 
-    def spy(fn, ranges):
-        ranges = list(ranges)
+    def spy(*args):
+        ranges = list(key_chunks(*args))
         chunks.append(len(ranges))
-        return chunk_map(fn, ranges)
+        return iter(ranges)
 
-    monkeypatch.setattr(divdist, "_chunk_map", spy)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for cpus in (1, 4):
-            monkeypatch.setattr(divdist, "_usable_cpus", lambda: cpus)
-            threads = threading.active_count()
-            tails, nudged = table_upper_tails(table, rows, t)
-            assert threading.active_count() == threads
-            assert np.array_equal(tails, want_tails), cpus
-            assert np.array_equal(nudged, want_nudged), cpus
-            assert min(chunks) >= 24, chunks
-            chunks.clear()
-        # the 64-step give-up names the same n on any number of threads
-        monkeypatch.setattr(divdist, "NUDGE_SCALE", 1e-16)
-        errors = []
-        for cpus in (1, 4):
-            monkeypatch.setattr(divdist, "_usable_cpus", lambda: cpus)
-            with pytest.raises(DomainError, match="could not move query") as err:
-                table_upper_tails(table, rows, t)
-            errors.append(str(err.value))
-        assert errors[0] == errors[1]
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_usable_cpus_without_an_affinity_mask(monkeypatch):
-    # where os.sched_getaffinity does not exist, os.cpu_count() decides
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    for count, want in ((3, 3), (None, 1)):
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert divdist._usable_cpus() == want
-
-
-def test_chunk_map_answers_in_chunk_order(monkeypatch):
-    # the first chunk in order to fail is the one reported, even when a
-    # later chunk fails first
-    monkeypatch.setattr(divdist, "_usable_cpus", lambda: 4)
-    ranges = [(k, k + 1) for k in range(8)]
-
-    def fn(chunk):
-        lo, _ = chunk
-        if lo == 1:
-            time.sleep(0.05)
-            raise DomainError("chunk 1")
-        if lo == 3:
-            raise DomainError("chunk 3")
-        return lo
-
-    threads = threading.active_count()
-    assert divdist._chunk_map(lambda chunk: chunk[0], iter(ranges)) == list(range(8))
-    with pytest.raises(DomainError, match="chunk 1"):
-        divdist._chunk_map(fn, ranges)
-    assert threading.active_count() == threads
+    monkeypatch.setattr(divdist, "_key_chunks", spy)
+    tails, nudged = table_upper_tails(table, rows, t)
+    assert np.array_equal(tails, want_tails)
+    assert np.array_equal(nudged, want_nudged)
+    assert min(chunks) >= 24, chunks
+    # the 64-step give-up names the same n as at the default budget
+    monkeypatch.setattr(divdist, "NUDGE_SCALE", 1e-16)
+    errors = []
+    for atoms in (256, budget):
+        monkeypatch.setattr(divdist, "ATOM_BUDGET", atoms)
+        with pytest.raises(DomainError, match="could not move query") as err:
+            table_upper_tails(table, rows, t)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize(
@@ -463,7 +421,7 @@ def near_two_to_31_table():
     ids=["S(1e8,30)", "S(2e4,2e4)", "primes-near-2^31"],
 )
 def test_chunk_atoms_are_the_exact_law_values(make_table):
-    # one thread's buffers take a wide chunk, then a narrower one, then a
+    # one set of buffers takes a wide chunk, then a narrower one, then a
     # wide one again, so an entry left from an earlier chunk would show
     table = make_table()
     tau = np.prod(table.exps.astype(np.int64) + 1, axis=1)
@@ -505,9 +463,9 @@ def tails_digest(tails, nudged):
     return hashlib.sha256(tails.tobytes() + nudged.tobytes()).hexdigest()
 
 
-def test_table_upper_tails_passes_share_no_buffers(tmp_path, monkeypatch):
-    # S(1e6, 30), every third row of S(1e5, 1000), then S(1e6, 30) again, on
-    # one thread and on four: each gives the bytes a fresh interpreter gives
+def test_table_upper_tails_passes_share_no_buffers(tmp_path):
+    # S(1e6, 30), every third row of S(1e5, 1000), then S(1e6, 30) again:
+    # each gives the bytes a fresh interpreter gives
     cases = []
     for x, y, step in ((10**6, 30, 1), (10**5, 1000, 3)):
         table = smooth_table(x, y)
@@ -537,11 +495,9 @@ def test_table_upper_tails_passes_share_no_buffers(tmp_path, monkeypatch):
         )
         assert proc.returncode == 0, proc.stderr
         fresh.append(proc.stdout.strip())
-    for cpus in (1, 4):
-        monkeypatch.setattr(divdist, "_usable_cpus", lambda: cpus)
-        for k in (0, 1, 0):
-            table, rows, t = cases[k]
-            assert tails_digest(*table_upper_tails(table, rows, t)) == fresh[k], (cpus, k)
+    for k in (0, 1, 0):
+        table, rows, t = cases[k]
+        assert tails_digest(*table_upper_tails(table, rows, t)) == fresh[k], k
 
 
 def test_log_divisors_are_far_apart():
