@@ -316,9 +316,9 @@ def smooth_table(x, y) -> SmoothTable:
     """S(x, y) as a SmoothTable, for 1 <= x < 2**62; |S(x, y)| >
     ENUM_CEILING, or |S(x, y)| ROW_BYTES > MEMORY_CEILING, raises
     ResourceLimitError before any row is made.  When x itself passes a
-    ceiling (|S(x, y)| <= x), the rows are counted first by psi_recursive's
-    recursion, stopped one row past the ceilings: about 3 ms at
-    S(1e8, 30), and 0.2 s to refuse S(1e11, 100).
+    ceiling (|S(x, y)| <= x), _psi_past bounds the rows first: _psi_floor
+    alone refuses S(1e13, 1e7), and the capped count takes about 3 ms at
+    S(1e8, 30) and 0.2 s to refuse S(1e11, 100).
 
     The rows are smooth_blocks' (n, omega, slots, exps).  A prime joins a
     row in ascending order, so it always lands in the next free slot, and
@@ -332,7 +332,7 @@ def smooth_table(x, y) -> SmoothTable:
     basis = sieve_primes(min(x, y))
     cap = min(ENUM_CEILING, MEMORY_CEILING // ROW_BYTES)
     if x > cap:
-        _check_size(x, y, _psi_count(x, basis.tolist(), stop=cap + 1), ROW_BYTES)
+        _check_size(x, y, _psi_past(x, basis, cap)[0], ROW_BYTES)
     slot_type = np.min_scalar_type(len(basis))
 
     def times(rows, i, k, pk):
@@ -404,6 +404,16 @@ def _psi_floor(x: int, primes: np.ndarray) -> int:
     return 1 + len(primes) + int(pairs.sum())
 
 
+def _psi_past(x: int, primes: np.ndarray, limit: int) -> tuple[int, bool]:
+    """(floor, counted): a floor of |S(x, y)|, given the primes <= min(x, y),
+    past `limit` if |S(x, y)| is: _psi_floor where that passes `limit`, else
+    psi_recursive's count stopped one row past it (counted is True)."""
+    floor = _psi_floor(x, primes)
+    if floor > limit:
+        return floor, False
+    return _psi_count(x, primes.tolist(), stop=limit + 1), True
+
+
 def psi_exact(x, y, *, limit: int = ENUM_CEILING) -> int:
     """|S(x, y)| by explicit enumeration (depth-first product walk).
 
@@ -419,15 +429,13 @@ def psi_exact(x, y, *, limit: int = ENUM_CEILING) -> int:
     if y < 2:
         return 1
     primes = sieve_primes(min(x, y))
-    floor = _psi_floor(x, primes)
-    primes = primes.tolist()
-    if floor <= limit:  # the floor is weak at small y: count up to the budget
-        floor = min(_psi_count(x, primes, stop=limit + 1), limit + 1)
+    floor, counted = _psi_past(x, primes, limit)
     if floor > limit:
         raise ResourceLimitError(
             f"enumeration of S({x}, {y}) exceeds ceiling {limit}: "
-            f"it has at least {floor} elements"
+            f"it has at least {min(floor, limit + 1) if counted else floor} elements"
         )
+    primes = primes.tolist()
     total = 0
     stack = [(x, 0)]
     while stack:

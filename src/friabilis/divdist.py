@@ -29,9 +29,7 @@ set of chunk buffers for the whole pass, so the allocator does not return
 chunk memory to the system and fault it in again chunk after chunk: a
 process's first table_upper_tails call at S(1e8, 30), over all rows and
 four z, takes about 5,300 minor page faults, where it took about 30,500
-without them.  On a 2-vCPU VM a second thread made the pass slower at
-S(1e8, 30), 126 ms against 118 ms warm, and paid only at S(1e9, 100),
-where `average` takes a median 4.6 s on one thread and took 4.0 s on two.
+without them.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ TAU_CEILING = 2 * 10**6  # largest admissible atom count
 MERGE_TOL = 1e-12  # a query closer than this to an atom is nudged off it
 NUDGE_SCALE = 1e-9  # collision nudge, in units of log n
 ATOM_BUDGET = 2**16  # padded atoms, and thresholds, per table_upper_tails chunk
-MODEL_REL_TOL = 1e-15  # where model_mean_additive stops its nu-sum
 
 
 @dataclass(frozen=True)
@@ -93,10 +90,9 @@ def moments(f: Factorization) -> DivisorMoments:
     t_max = 0.0
     for p, e in f.factors:
         lp = log(p)
-        lp2 = lp * lp
         tau *= e + 1
-        m2 += e * (e + 2) * lp2
-        m4 += e * (e + 2) * (3 * e * e + 6 * e - 4) * lp2 * lp2
+        m2 += _term("m2", lp, e)
+        m4 += _term("m4", lp, e)
         t_max = max(t_max, (e + 1) * lp)
     m2 /= 12.0
     m4 /= 240.0
@@ -196,9 +192,7 @@ def additive_fk(f: Factorization, k: int) -> float:
     factors without multiplicity.  Supported for 0 <= k <= 8."""
     if not 0 <= k <= 8:
         raise DomainError("k must lie in [0, 8]")
-    if k == 0:
-        return float(f.omega)
-    return sum((e * log(p)) ** k for p, e in f.factors)
+    return sum((_term(k, log(p), e) for p, e in f.factors), 0.0)
 
 
 def _check_column(column) -> None:
@@ -209,9 +203,10 @@ def _check_column(column) -> None:
 
 def _term(column, log_p: float, e: int) -> float:
     """What one factor p^e, e >= 1 and log_p = math.log(p), adds to the sum
-    of a table_moments column before m2 and m4 are scaled: the term of the
-    per-n loops, by the same IEEE operations.  An f_k term is raised by
-    Python's float pow, as additive_fk does; at k = 0 it is 1.0."""
+    of a column before m2 and m4 are scaled: the one term that moments,
+    additive_fk, table_moments and moment_blocks all sum.  An f_k term is
+    raised by Python's float pow; at k = 0 it is 1.0, so f_0 counts the
+    prime factors."""
     if column == "log_n":
         return e * log_p
     lp2 = log_p * log_p
@@ -662,27 +657,20 @@ def model_mean_additive(ctx: SaddleContext, k: int) -> float:
     """Mean of f_k under the independent model at the saddle tilt:
     sum over p <= y, nu >= 1 of (nu log p)^k p^(-nu alpha) (1 - p^(-alpha)).
 
-    The nu-sum stops once the geometric tail bound falls below MODEL_REL_TOL
-    of the accumulated value, uniformly over primes.
+    The nu-sum is closed: sum over nu >= 1 of nu^k r^nu is
+    r A_k(r) / (1 - r)^(k + 1), A_k the Eulerian polynomial (DLMF 26.14), so
+    with r = p^-alpha each prime adds (log p)^k r A_k(r) / (1 - r)^k.  1 - r
+    is taken by expm1, so it does not cancel as alpha log p -> 0.
     """
     if not 0 <= k <= 8:
         raise DomainError("k must lie in [0, 8]")
+    # A_0 = A_1 = 1; with a_m the coefficient of r^m in A_(n-1), A_n's is
+    # (m + 1) a_m + (n - m) a_(m-1)
+    coef = [1]
+    for n in range(2, k + 1):
+        padded = [0, *coef, 0]
+        coef = [(m + 1) * padded[m + 1] + (n - m) * padded[m] for m in range(n)]
     lp = ctx.log_primes
     r = np.exp(-ctx.alpha * lp)  # p^-alpha, in (0, 1)
-    acc = np.zeros_like(lp)
-    power = np.ones_like(lp)
-    nu = 0
-    while True:
-        nu += 1
-        power = power * r
-        term = power if k == 0 else (nu * lp) ** k * power
-        acc += term
-        # ratio of consecutive terms is r ((nu+1)/nu)^k < 1 for nu >= k/ln(1/r)
-        ratio = r * ((nu + 1.0) / nu) ** k
-        if np.all(ratio < 1.0):
-            tail = term * ratio / (1.0 - ratio)
-            if np.all(tail <= MODEL_REL_TOL * np.maximum(acc, 1e-300)):
-                break
-        if nu > 100000:
-            raise ResourceLimitError("nu-sum failed to converge")
-    return kernels.kahan_sum(acc * (1.0 - r))
+    a_k = np.polyval(coef[::-1], r)  # Horner, highest power first
+    return kernels.kahan_sum(lp**k * r * a_k / (-np.expm1(-ctx.alpha * lp)) ** k)

@@ -172,12 +172,13 @@ def _median(a: np.ndarray) -> float:
 def run_clt(config: CltRunConfig) -> RunResult:
     """Gaussian tail quality across S(x, y), one output row per z."""
     table = smooth_table(config.x, config.y)
-    ranks = range(1, len(table))  # row i > 0 is the i-th n > 1; row 0 is n = 1
-    total = len(ranks)
+    total = len(table) - 1  # row i > 0 is the i-th n > 1; row 0 is n = 1
     sampled = total > config.sample_cap
     if sampled:
-        ranks = random.Random(config.seed).sample(ranks, config.sample_cap)
-    picked = np.sort(np.array(ranks, dtype=np.int64))
+        ranks = random.Random(config.seed).sample(range(1, len(table)), config.sample_cap)
+        picked = np.sort(np.array(ranks, dtype=np.int64))
+    else:
+        picked = np.arange(1, len(table), dtype=np.int64)
     log_n, m2, m4 = table_moments(table, picked, ("log_n", "m2", "m4")).values()
     w = np.divide(m2 * m2, m4, out=np.ones(len(m4)), where=m4 > 0)
 
@@ -207,7 +208,8 @@ def run_clt(config: CltRunConfig) -> RunResult:
                 nudged=int(np.count_nonzero(nudged[on, i])),
             )
         )
-    meta = _meta("clt", config, psi_gt1=total, n_selected=len(ranks), sampled=sampled)
+    n_selected = min(total, config.sample_cap)
+    meta = _meta("clt", config, psi_gt1=total, n_selected=n_selected, sampled=sampled)
     meta["quantile_rank_error"] = 0.0  # medians and maxima are exact, not sketched
     return RunResult(rows=tuple(rows), meta=meta)
 

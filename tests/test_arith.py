@@ -358,6 +358,19 @@ def test_smooth_table_refuses_before_it_grows(monkeypatch):
         smooth_table(10**11, 100)
 
 
+def test_smooth_table_asks_the_floor_before_counting(monkeypatch):
+    # _psi_floor puts 8.2e10 rows in S(1e13, 1e7), past ENUM_CEILING, so
+    # the recursion that counts the rows need not run
+    from friabilis import arith
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("_psi_count ran")
+
+    monkeypatch.setattr(arith, "_psi_count", no_count)
+    with pytest.raises(ResourceLimitError):
+        smooth_table(10**13, 10**7)
+
+
 @pytest.mark.parametrize("x", [0, -5])
 def test_smooth_table_refuses_x_below_one(x):
     # S(x, y) is empty for x < 1, which a table that starts from the row

@@ -665,8 +665,8 @@ SILENT = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
             ["concentration", "--x", "10000000", "--y", "100", "--k-list", "0,1,2",
              "--thresholds", "0.1,0.25,0.5", "--json"],
             "acec1e6b9bfe3bfc4450cb0897939e7f304c6bad8653fa2863fd8034b56fcda7",
-            # the model means and the sigma_n / sigma_bar histogram
-            "cd1e6c7115db6a238df7d4ae4c993a9dfa87da62ea048384e93427fee86349fa",
+            # the model means (closed form) and the sigma_n / sigma_bar histogram
+            "f579211b14b4b3f52d1cc614e8ce4fb1cc2e58055d778d5fd81732d13b6612ec",
         ),
         (
             ["clt", "--x", "1e5", "--y", "30", "--z-grid", "0,1"],

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt, log
 from pathlib import Path
@@ -171,6 +172,48 @@ def test_model_mean_k0_matches_direct_sum():
     assert model_mean_additive(ctx, 0) == pytest.approx(direct, rel=1e-12)
     with pytest.raises(DomainError):
         model_mean_additive(ctx, 9)
+
+
+def _decimal_model_mean(ctx, k: int) -> Decimal:
+    # the nu-series itself, at 50 digits, from the float alpha and log p
+    alpha = Decimal(ctx.alpha)
+    total = Decimal(0)
+    for lp in map(Decimal, ctx.log_primes.tolist()):
+        r = (-alpha * lp).exp()
+        acc, power, nu = Decimal(0), Decimal(1), 0
+        while True:
+            nu += 1
+            power *= r
+            term = (nu * lp) ** k * power
+            acc += term
+            # past nu = k the terms fall at least geometrically here
+            if nu > k and term < acc * Decimal("1e-45"):
+                break
+        total += (1 - r) * acc
+    return total
+
+
+@pytest.mark.parametrize("x,y", [(10**4, 30), (10**8, 30), (10**7, 100)])
+def test_model_mean_matches_the_decimal_nu_series(x, y):
+    ctx = make_context(x, y)
+    with localcontext() as dc:
+        dc.prec = 50
+        for k in range(9):
+            want = float(_decimal_model_mean(ctx, k))
+            assert abs(model_mean_additive(ctx, k) / want - 1) <= 1e-14, k
+
+
+def test_model_mean_of_one_prime_near_alpha_zero():
+    # S(1e300, 2): alpha log 2 is about 1e-3, where 1 - r cancels unless it
+    # is taken by expm1; both sides start from the floats the code holds
+    ctx = make_context(1e300, 2)
+    (lp,) = ctx.log_primes.tolist()
+    with localcontext() as dc:
+        dc.prec = 50
+        r = (-Decimal(ctx.alpha) * Decimal(lp)).exp()
+        want = {0: float(r), 1: float(Decimal(lp) * r / (1 - r))}
+    for k, value in want.items():
+        assert abs(model_mean_additive(ctx, k) - value) <= 4 * math.ulp(value), k
 
 
 @settings(max_examples=150, deadline=None)
