@@ -1,8 +1,13 @@
 """The sieve and summation kernels, in NumPy.
 
-The library reaches them through friabilis._backend.kernels.  Each sieve
-loops in Python over primes or over divisors d and does its work in
-strided whole-array updates, one per d.
+The library reaches them through friabilis._backend.kernels.  The prime
+sieves loop in Python over primes and do their work in strided
+whole-array updates, one per prime.  The two divisor sieves hand their
+arithmetic progressions to one helper, _add_progressions: every d that
+divides the wheel 5040 is added in one broadcast pass of period 5040, and
+the other d run strided over one cache-sized segment of the array at a
+time, or, when a segment would hold few of their terms, over the whole
+array once.
 
 tau_sieve's divisor counts are uint16, two bytes per n: the largest tau(n)
 for n <= 1e17 is 64,512, so tau_sieve refuses any limit past 10**17.  tau
@@ -128,7 +133,9 @@ def tau_sieve(limit):
 
     Divisors of n pair up as d and n/d with d <= sqrt(n), so each
     d <= isqrt(limit) adds 2 at the multiples n >= d*d; at n = d*d the pair
-    is d twice, which the final -1 takes back.  uint16 holds every count up
+    is d twice, which the final -1 takes back.  All these progressions go to
+    _add_progressions at once: the d that divide 5040 take one broadcast
+    pass, the others cache-sized segments.  uint16 holds every count up
     to limit = 10**17: the largest tau(n) for n <= 1e17 is 64,512
     (at n = 74,801,040,398,884,800), and tau first reaches 65,536 near
     n = 1.07e17.  A larger limit raises ValueError before any allocation.
@@ -139,8 +146,7 @@ def tau_sieve(limit):
         raise ValueError(f"limit must be <= {_TAU_MAX_LIMIT}, past which tau overflows uint16")
     tau = np.zeros(limit + 1, dtype=np.uint16)
     root = math.isqrt(limit)
-    for d in range(1, root + 1):
-        tau[d * d :: d] += 2
+    _add_progressions(tau, [(d, d * d) for d in range(1, root + 1)], 2)
     tau[np.arange(1, root + 1) ** 2] -= 1
     return tau
 
@@ -161,7 +167,9 @@ def small_divisor_count_sieve(tau, v):
     sieve.  Otherwise, for v < 1/2 each d adds 1 at the multiples n with
     d <= n**v, and for v > 1/2 the count is tau(n) less the divisors
     e < n**(1-v); either way only d (or e) <= sqrt(limit) can contribute.
-    When v is within 1e-12 of a fraction j/k with k <= _MAX_DENOM, the edge
+    The progressions of their multiples go to _add_progressions at once;
+    for v > 1/2 each adds -1 cast to tau's dtype, 65535 in uint16.  When v
+    is within 1e-12 of a fraction j/k with k <= _MAX_DENOM, the edge
     d = n**v is decided exactly, as d**k <= n**j in integers; otherwise it
     is decided by comparing float logs.
     """
@@ -187,16 +195,63 @@ def small_divisor_count_sieve(tau, v):
         c, strict = (1 - frac if exact else 1.0 - v), True
     if exact:
         c = (c.numerator, c.denominator)
+    progressions = []
     for d in range(1, limit + 1):
         m0 = _least_n(d, c, strict, limit)
         if m0 > limit:
             break
-        start = -(-m0 // d) * d  # first multiple of d at or past m0
-        if v <= 0.5:
-            out[start::d] += 1
-        else:  # -= 1, since uint16 += -1 raises OverflowError
-            out[start::d] -= 1
+        progressions.append((d, -(-m0 // d) * d))  # first multiple of d at or past m0
+    # v > 1/2 takes 1 off by adding -1 cast to the dtype, which for uint16
+    # is its max: uint16 addition wraps modulo 2**16, where += -1 raises
+    _add_progressions(out, progressions, 1 if v <= 0.5 else np.array(-1).astype(out.dtype))
     return out
+
+
+_WHEEL = 5040  # 2**4 * 3**2 * 5 * 7: its 60 divisors d hold 3.84 of sum 1/d
+_SEGMENT_BYTES = 1 << 21  # one core's 2 MiB L2 cache on the Xeon VM it was tuned on
+_SEGMENT_RUN = 256  # fewest terms a d adds to a segment to be run by segments
+
+
+def _add_progressions(out, progressions, inc):
+    """out[s::d] += inc for every (d, s) in progressions, in place.
+
+    out is a contiguous integer array and inc a value of its dtype.
+    Integer additions wrap modulo 2**bits, so their order does not change
+    the result.  Every d that divides _WHEEL, with its start s in the
+    first half of out, joins one pattern of period _WHEEL at every n = s
+    (mod d); one broadcast over a (periods, _WHEEL) view of out adds the
+    pattern, and the terms below each s, fewer than half of those the
+    pattern added for d, are taken back.  Every other d runs strided, one
+    segment of _SEGMENT_BYTES at a time, so that a segment stays in cache
+    while all of them add to it.  A d that would add fewer than
+    _SEGMENT_RUN terms to a segment would cost more in Python per slice
+    than it saves in memory traffic, and runs over the whole array once.
+    """
+    n = len(out)
+    wheel = [(d, s) for d, s in progressions if _WHEEL % d == 0 and 2 * s < n]
+    rest = [(d, s) for d, s in progressions if _WHEEL % d or 2 * s >= n]
+    if wheel:
+        pattern = np.zeros(_WHEEL, dtype=out.dtype)
+        for d, s in wheel:
+            pattern[s % d :: d] += inc
+        body = n - n % _WHEEL
+        periods = out[:body].reshape(-1, _WHEEL)
+        periods += pattern
+        out[body:] += pattern[: n - body]
+        for d, s in wheel:
+            out[s % d : s : d] -= inc
+    segment = _SEGMENT_BYTES // out.itemsize
+    runs = [[s, d] for d, s in rest if d * _SEGMENT_RUN <= segment]
+    for d, s in rest:
+        if d * _SEGMENT_RUN > segment:
+            out[s::d] += inc
+    for end in range(segment, n + segment, segment):
+        for run in runs:
+            s, d = run
+            if s < end:
+                terms = out[s:end:d]
+                terms += inc
+                run[0] = s + len(terms) * d
 
 
 def _least_n(d, c, strict, limit):

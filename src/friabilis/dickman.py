@@ -7,12 +7,15 @@ delay ODE supplies exactly as rho'(v) = -rho(v-1)/v, so every quantity in
 the update is a known, delayed grid value and each unit block vectorizes
 into a cumulative sum.  Grid steps divide 1 exactly, hence the delayed
 argument always lands on the grid; interpolation only happens at lookup.
+A block reads only earlier ones, so the default table is grown by unit
+blocks only as far as a lookup reads, and holds the same values as one
+built to u = 50 at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isnan, log
+from math import floor, isnan, log
 
 import numpy as np
 
@@ -60,14 +63,27 @@ class RhoTable:
         if m < 4:
             raise ConfigError("1/h must be at least 4")
         h = 1.0 / m  # snap so the delay is exactly m grid steps
+        return cls(h=h, u_max=1.0, values=np.ones(m + 1))._grown(u_max)
+
+    def _grown(self, u_max: float) -> "RhoTable":
+        """This table advanced by whole unit blocks through u_max.
+
+        Each block reads only earlier ones, so the values this table holds
+        are kept bit for bit and the new ones are those a table built to
+        u_max at once would hold.
+        """
+        m = round(1.0 / self.h)
+        have = len(self.values) // m
         blocks = int(np.ceil(u_max - 1e-12))
+        if blocks <= have:
+            return self
         size = blocks * m
-        u = np.arange(size + 1, dtype=np.float64) * h
+        u = np.arange(size + 1, dtype=np.float64) * self.h
         rho = np.empty(size + 1, dtype=np.float64)
-        rho[: m + 1] = 1.0
-        for k in range(1, blocks):
-            _advance_block(rho, u, k * m, (k + 1) * m, m, h)
-        return cls(h=h, u_max=float(blocks), values=rho)
+        rho[: len(self.values)] = self.values
+        for k in range(have, blocks):
+            _advance_block(rho, u, k * m, (k + 1) * m, m, self.h)
+        return RhoTable(h=self.h, u_max=float(blocks), values=rho)
 
     def interpolate(self, u: float) -> float:
         """Cubic 4-point interpolation, stencil clamped inside the unit block
@@ -93,10 +109,20 @@ class RhoTable:
 _default_table: RhoTable | None = None
 
 
-def default_table() -> RhoTable:
+def default_table(u: float = DEFAULT_U_MAX) -> RhoTable:
+    """The table on the default grid, grown as far as a lookup at u reads.
+
+    It is built by unit blocks, up to DEFAULT_U_MAX, through the block
+    that holds u and the next one, which interpolate's stencil reads when
+    u / h rounds up onto the next integer.  Every value equals that of
+    RhoTable.build(); with no argument the table reaches DEFAULT_U_MAX.
+    """
     global _default_table
+    u_max = min(floor(min(u, DEFAULT_U_MAX)) + 2.0, DEFAULT_U_MAX)
     if _default_table is None:
-        _default_table = RhoTable.build()
+        _default_table = RhoTable.build(u_max=u_max)
+    else:
+        _default_table = _default_table._grown(u_max)
     return _default_table
 
 
@@ -113,7 +139,7 @@ def dickman_rho(u, table: RhoTable | None = None) -> float:
     if u <= 1.0:
         return 1.0
     if table is None:
-        table = default_table()
+        table = default_table(u)
     if u > table.u_max:
         raise DomainError(f"u = {u} exceeds the table range {table.u_max}")
     # the march's absolute noise floor is ~1e-16; rho itself is nonnegative

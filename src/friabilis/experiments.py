@@ -420,7 +420,7 @@ def run_concentration(config: ConcentrationRunConfig) -> RunResult:
 
 # Bytes per n <= x that arcsine_check's estimate charges against
 # arith.MEMORY_CEILING.  Its peak is tau and one v's counts, both uint16,
-# and the float64 ratio buffer: 12.07 bytes per n under tracemalloc at
+# and the float64 ratio buffer: 12.08 bytes per n under tracemalloc at
 # x = 2e6, for any grid of v.  Rounded up, which puts the largest x under
 # the 4 GiB ceiling near 2.9e8.
 ARCSINE_BYTES_PER_N = 15
@@ -439,8 +439,10 @@ def arcsine_check(x: int, vs) -> RunResult:
     arcsine law (2/pi) arcsin sqrt(v).
 
     Runs over all integers up to x (no smoothness restriction); the sieve
-    kernels carry the whole computation.  tau is sieved once, in uint16,
-    and every v reads it; each v's uint16 counts are divided by tau into
+    kernels carry the whole computation, adding the multiples of every
+    divisor of 5040 in one broadcast pass and those of the other d by
+    cache-sized segments.  tau is sieved once, in uint16, and every v
+    reads it; each v's uint16 counts are divided by tau into
     one float64 ratio buffer that serves every v.  The uint16 to float64
     conversion is exact, so each ratio is the correctly rounded quotient of
     the two counts.  An x whose arrays, at ARCSINE_BYTES_PER_N bytes per n,

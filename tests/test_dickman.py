@@ -2,10 +2,12 @@
 delay differential equation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from friabilis import dickman
 from friabilis.dickman import RhoTable, default_table, dickman_rho, psi_dickman_estimate
 from friabilis.errors import ConfigError, DomainError
 
@@ -73,6 +75,30 @@ def test_table_range_guard():
     table = default_table()
     assert table.u_max >= 50.0
 
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_grown_default_table_is_the_built_one(monkeypatch, order):
+    # the default table grows by unit blocks as lookups reach further; each
+    # block reads only earlier ones, so every value is the full table's
+    full = RhoTable.build()
+    us = [49.99999]
+    for k in range(1, 51):
+        us += [float(k), math.nextafter(k, 0.0), math.nextafter(k, math.inf)]
+        us += [k + 0.25, k + 0.5, k + 0.999]
+    us = [u for u in us if u <= full.u_max]
+    if order == "descending":
+        us.sort(reverse=True)
+    elif order == "shuffled":
+        random.Random(20).shuffle(us)
+    else:
+        us.sort()
+    monkeypatch.setattr(dickman, "_default_table", None)
+    if order == "ascending":
+        dickman_rho(2.0)
+        assert default_table(2.0).u_max == 4.0  # u = 2 reads blocks 2 and 3 only
+    for u in us:
+        assert dickman_rho(u) == dickman_rho(u, full), u
+    assert np.array_equal(default_table().values, full.values)
 
 def test_nonnegative_clamp_in_deep_tail():
     # past u ~ 35 the true value sits under the float64 absolute noise

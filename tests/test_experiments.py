@@ -304,6 +304,20 @@ def test_concentration_config_guards():
         ConcentrationRunConfig(x=X, y=Y, bins=0)
 
 
+def test_arcsine_peak_within_its_charge():
+    # arcsine_check charges ARCSINE_BYTES_PER_N against the memory ceiling;
+    # tau, one v's counts and the ratio buffer must fit in it, for v below,
+    # at and above 1/2
+    x = 2 * 10**6
+    vs = (0.25, 0.3, 0.5, 0.75)
+    tracemalloc.start()
+    try:
+        arcsine_check(x, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (x + 1) * experiments.ARCSINE_BYTES_PER_N
+
 def test_arcsine_profile():
     res = arcsine_check(10**4, (0.25, 0.5, 1.0))
     rows = {row.v: row for row in res.rows}

@@ -100,6 +100,81 @@ def test_small_divisor_count_against_brute(limit, v):
     )
 
 
+def _brute_by_slices(limit, v):
+    # _brute_small_divisor_counts's rule, with a slice for each small
+    # divisor d over its multiples and for each cofactor q of the divisors
+    # d > sqrt(limit) over n = d * q; float logs decide d <= n^v except
+    # near a tie, which the loop's own test settles
+    frac = Fraction(v).limit_denominator(100)
+    exact = abs(v - frac) < 1e-12
+
+    def holds(d, n):
+        if exact:
+            return d**frac.denominator <= n**frac.numerator
+        return math.log(d) <= v * math.log(n)
+
+    logs = np.zeros(limit + 1)
+    logs[1:] = np.log(np.arange(1, limit + 1))
+    counts = np.zeros(limit + 1, dtype=np.int64)
+
+    def add(ns, log_d, divisor):
+        gap = v * logs[ns] - log_d
+        ok = gap >= 0.0
+        for i in np.nonzero(np.abs(gap) < 1e-9)[0].tolist():
+            ok[i] = holds(divisor(i), ns.start + i * ns.step)
+        counts[ns] += ok
+
+    root = math.isqrt(limit)
+    for d in range(1, root + 1):
+        add(slice(d, limit + 1, d), logs[d], lambda i, d=d: d)
+    for q in range(1, limit // (root + 1) + 1):
+        add(slice((root + 1) * q, limit + 1, q), logs[root + 1 : limit // q + 1], lambda i: root + 1 + i)
+    return counts
+
+
+_SEGMENT = kpy._SEGMENT_BYTES // 2  # uint16 entries in one segment
+_EDGE_LIMITS = [5039, 5040, 5041, 10081, _SEGMENT - 1, _SEGMENT + 1, 3 * _SEGMENT + 7]
+
+
+@pytest.mark.parametrize("limit", _EDGE_LIMITS)
+def test_divisor_sieves_across_wheel_and_segment_edges(limit):
+    # one wheel period of 5040 either side of the array's end, and one and
+    # three cache segments; moment_scan and the brute counts share no code
+    # with the wheel or the segments
+    tau = kpy.tau_sieve(limit)
+    np.testing.assert_array_equal(tau, kpy.moment_scan(limit)[0])
+    for v in [0.25, 1 / 3, 0.3, 0.5, 0.6, 0.75, 0.999]:
+        expect = _brute_by_slices(limit, v)
+        if limit <= 10081:
+            np.testing.assert_array_equal(expect, _brute_small_divisor_counts(limit, v))
+        np.testing.assert_array_equal(
+            kpy.small_divisor_count_sieve(tau, v), expect, err_msg=f"v = {v}"
+        )
+    # every divisor d of n has d <= n
+    np.testing.assert_array_equal(kpy.small_divisor_count_sieve(tau, 1.0), tau)
+
+
+@pytest.mark.parametrize(
+    "length", [1, 100, 5039, 5040, 5041, 3 * 5040, _SEGMENT - 1, _SEGMENT + 1, 3 * _SEGMENT + 7]
+)
+def test_add_progressions_is_the_strided_loop(length):
+    rng = np.random.default_rng(length)
+    wheel = [d for d in range(1, 5041) if 5040 % d == 0]
+    progressions = []
+    for d in wheel + [11, 13, 97, 1009, 4096, 4097, 6007, 5040 * 3]:
+        # starts at 0, in the first half, past it and past the end
+        for s in {0, d, int(rng.integers(0, length)), length // 2 + 1, length - 1, length + d}:
+            progressions.append((d, s))
+    for inc in (1, 2, 65535, int(rng.integers(0, 65536))):  # 65535 is -1 modulo 2**16
+        start = rng.integers(0, 65536, size=length, dtype=np.uint16)
+        expect = start.copy()
+        for d, s in progressions:
+            expect[s::d] += np.uint16(inc)
+        out = start.copy()
+        kpy._add_progressions(out, progressions, inc)
+        np.testing.assert_array_equal(out, expect, err_msg=f"inc = {inc}")
+
+
 @pytest.mark.parametrize("v", [0.25, 0.5, 0.5 + 1e-9, 0.75, 1.0])
 def test_small_divisor_count_leaves_tau_alone(v):
     tau = kpy.tau_sieve(1_000)
@@ -115,6 +190,18 @@ def test_tau_sieve_is_uint16():
     assert tau.dtype == np.uint16
     for v in (0.25, 0.5, 0.75):
         assert kpy.small_divisor_count_sieve(tau, v).dtype == np.uint16, v
+
+
+def test_small_divisor_count_in_a_signed_dtype():
+    # the v > 1/2 path adds -1 cast to tau's dtype: 65535 in uint16, whose
+    # sum wraps, and -1 itself in int64, whose dtype max would not wrap
+    limit = 10_081
+    for v in (0.25, 0.75):
+        np.testing.assert_array_equal(
+            kpy.small_divisor_count_sieve(kpy.moment_scan(limit)[0], v),
+            kpy.small_divisor_count_sieve(kpy.tau_sieve(limit), v),
+            err_msg=f"v = {v}",
+        )
 
 
 def test_tau_sieve_refuses_limits_past_1e17(monkeypatch):
