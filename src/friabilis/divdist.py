@@ -7,34 +7,33 @@ Over a SmoothTable, table_moments (log n, the m2 and m4 of moments, and
 additive_fk) and table_upper_tails return, row by row, the same floats as
 the per-n functions, bit for bit.  Both gather table rows along axis 0,
 with np.take, never by advanced indexing of a 2-D array.  table_moments
-computes only the columns its caller asks for, and performs the same IEEE
-operations in the same order and takes log p from math.log, as the per-n
-code does, through one term per (prime, exponent) for every statistic, all
-gathered in one pass over the slot columns.  table_upper_tails counts the
-divisors of n = m P^e (P its largest prime) from the log d of its stem m
-shifted by i log P.  n = 1, and a row whose stem the table lacks, is its
-own stem, with e = 0.  Stems are looked up on ascending m, a block of
-rows at a time.  One count pass answers every query: over chunks of
-sorted log-divisors, expanded once per distinct stem, a branchless search
-of four array passes a level returns the count of atoms below a threshold
-and the distance to the nearest one.  The expansion gathers each copy's
-factor p^k from a small table of each slot column's powers.  An own-stem
-row's count is exact, and the pass moves its query off an atom closer
-than MERGE_TOL as nudge_off_atom would.  A shifted row only flags a query
-within 2 MERGE_TOL of a stem atom, set at those (row, query) pairs alone,
-and the flagged queries go through the same pass again, each n its own
-stem, so float rounding in the shift cannot change a count.  A pass
-answers its chunks in order on one thread, the caller's, and keeps one
-set of chunk buffers for the whole pass, so the allocator does not return
-chunk memory to the system and fault it in again chunk after chunk: a
-process's first table_upper_tails call at S(1e8, 30), over all rows and
-four z, takes about 5,300 minor page faults, where it took about 30,500
-without them.
+and moment_blocks compute only the columns their caller asks for, and
+perform the same IEEE operations in the same order and take log p from
+math.log, as the per-n code does: both read one table of terms, one per
+column and prime power p^e that their rows can hold.
+table_upper_tails counts the divisors of n = m P^e (P its largest prime)
+from the log d of its stem m shifted by i log P.  n = 1, and a row whose
+stem the table lacks, is its own stem, with e = 0.  Stems are looked up
+on ascending m, a block of rows at a time.  One count pass answers every
+query: over chunks of sorted log-divisors, expanded once per distinct
+stem, a branchless search of four array passes a level returns the count
+of atoms below a threshold and the distance to the nearest one.  The
+expansion gathers each copy's factor p^k from a small table of each slot
+column's powers.  An own-stem row's count is exact, and the pass moves
+its query off an atom closer than MERGE_TOL as nudge_off_atom would.  A
+shifted row only flags a query within 2 MERGE_TOL of a stem atom, set at
+those (row, query) pairs alone, and the flagged queries go through the
+same pass again, each n its own stem, so float rounding in the shift
+cannot change a count.  A pass answers its chunks in order on one
+thread, the caller's, and keeps one set of chunk buffers for the whole
+pass, so the allocator does not return chunk memory to the system and
+fault it in again chunk after chunk: a process's first table_upper_tails
+call at S(1e8, 30), over all rows and four z, takes about 5,300 minor
+page faults, where it took about 30,500 without them.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +47,7 @@ from friabilis.arith import (
     N_CEILING,
     Factorization,
     SmoothTable,
+    _check_x,
     sieve_primes,
     smooth_blocks,
 )
@@ -57,7 +57,9 @@ from friabilis.saddle import SaddleContext
 TAU_CEILING = 2 * 10**6  # largest admissible atom count
 MERGE_TOL = 1e-12  # a query closer than this to an atom is nudged off it
 NUDGE_SCALE = 1e-9  # collision nudge, in units of log n
-ATOM_BUDGET = 2**16  # padded atoms, and thresholds, per table_upper_tails chunk
+# padded atoms, and thresholds, per table_upper_tails chunk, and the rows of
+# a table_moments block
+ATOM_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -227,14 +229,26 @@ def _scaled(column, total: np.ndarray) -> np.ndarray:
     return total
 
 
-def _term_index(slots: np.ndarray, exps: np.ndarray, j: int, width: int) -> np.ndarray:
-    """slots[:, j] * width + exps[:, j]: each row's (basis index, exponent)
-    in slot column j, as a flat index into a table of width exponents per
-    basis index.  The slots are widened first; uint8 * width would wrap."""
-    index = slots[:, j].astype(np.intp)
-    index *= width
-    index += exps[:, j]
-    return index
+def _term_table(columns, basis: np.ndarray, top: int):
+    """(asked, start, terms): the distinct columns asked, checked, in the
+    order first asked, and a row of terms for each: _term at start[i] + e
+    for p = basis[i] and every e >= 1 with p**e <= top, checked in
+    integers.  Entry 0 is 0.0, and start is 0 at the padding index
+    len(basis), so a padding slot reads 0.0."""
+    asked = list(dict.fromkeys(columns))
+    for c in asked:
+        _check_column(c)
+    start, powers = [], []
+    for p in basis.tolist():
+        start.append(len(powers))
+        log_p, e = log(p), 1
+        while p**e <= top:
+            powers.append((log_p, e))
+            e += 1
+    terms = np.zeros((len(asked), len(powers) + 1))
+    for row, c in zip(terms, asked):
+        row[1:] = [_term(c, log_p, e) for log_p, e in powers]
+    return asked, np.array([*start, 0], dtype=np.intp), terms
 
 
 def table_moments(table: SmoothTable, rows, columns) -> dict[str | int, np.ndarray]:
@@ -244,39 +258,26 @@ def table_moments(table: SmoothTable, rows, columns) -> dict[str | int, np.ndarr
     moments()) or an int k in 0..8 (additive_fk(f, k)), each bit for bit;
     anything else raises DomainError.
 
-    Each term of the per-n loops (_term) is computed once per (basis index,
-    exponent), for the columns asked and for each e >= 1 up to one past
-    log_p of the largest n, and one pass over the slot columns gathers it
-    into every sum.  Padding slots (index len(basis), e = 0) read 0.0, which
-    adds exactly 0.0 to each sum, so summing all columns from 0 repeats the
-    per-n loops over the real factors.
+    _term_table holds each term of the per-n loops once per (prime,
+    exponent) of the basis, for the columns asked.  One pass over the slot
+    columns, ATOM_BUDGET rows at a time so that a block's arrays stay in
+    cache, gathers each slot's terms, at start[slot] + e, into the sums.
+    Padding slots read 0.0, which adds exactly 0.0 to each sum, so summing
+    all columns from 0 repeats the per-n loops over the real factors.
     """
     if isinstance(rows, slice):
         slots, exps = table.slots[rows], table.exps[rows]
     else:
         slots, exps = (np.take(c, rows, axis=0) for c in (table.slots, table.exps))
-    asked = list(dict.fromkeys(columns))
-    for c in asked:
-        _check_column(c)
-    logs = [log(p) for p in table.basis.tolist()]
-    width = int(exps.max(initial=0)) + 1
-    top = log(int(table.n[-1]))
-    pairs = [
-        (i * width + e, log_p, e)
-        for i, log_p in enumerate(logs)
-        for e in range(1, min(int(top / log_p) + 2, width))
-    ]
-    index = [i for i, _, _ in pairs]
-    terms = []
-    for c in asked:
-        term = np.zeros((len(logs) + 1) * width)
-        term[index] = [_term(c, log_p, e) for _, log_p, e in pairs]
-        terms.append(term)
-    sums = np.zeros((len(terms), len(exps)))
-    for j in range(exps.shape[1]):
-        index = _term_index(slots, exps, j, width)
-        for total, term in zip(sums, terms):
-            total += np.take(term, index)
+    asked, start, terms = _term_table(columns, table.basis, int(table.n[-1]))
+    sums = np.zeros((len(asked), len(exps)))
+    for lo in range(0, len(exps), ATOM_BUDGET):
+        block = slice(lo, lo + ATOM_BUDGET)
+        for j in range(exps.shape[1]):
+            index = np.take(start, slots[block, j].astype(np.intp))
+            index += exps[block, j]
+            for total, term in zip(sums[:, block], terms):
+                total += np.take(term, index)
     return {c: _scaled(c, total) for c, total in zip(asked, sums)}
 
 
@@ -285,33 +286,27 @@ def moment_blocks(
 ) -> Iterator[tuple[np.ndarray, dict[str | int, np.ndarray]]]:
     """S(x, y) in arith.smooth_blocks' blocks, each as (n, {column: float64
     array}): the columns of table_moments, bit for bit, row by row, with
-    row_bytes charged a row against the ceilings.  Columns are checked, and
-    x, as smooth_blocks checks it, before the first block.
+    row_bytes charged a row against the ceilings.  x, as smooth_blocks
+    checks it, and then the columns are checked before the first block.
 
     A row carries n and one float64 sum per distinct column asked; a child
-    adds the _term of its new factor p^k to its parent's sums.  Primes join
-    a row in ascending order, the order of a table's slot columns, so each
-    sum adds the same terms in the same order as table_moments' pass, where
-    padding adds 0.0 at the end.
+    adds the terms of its new factor p^k, from a _term_table of every prime
+    <= min(x, y) up to x, to its parent's sums.  Primes join a row in
+    ascending order, the order of a table's slot columns, so each sum adds
+    the same terms in the same order as table_moments' pass, where padding
+    adds 0.0 at the end.
     """
-    asked = list(dict.fromkeys(columns))
-    for c in asked:
-        _check_column(c)
-
-    @functools.cache
-    def linear() -> np.ndarray:  # every prime's terms at e = 1
-        return np.array([[_term(c, log_p, 1) for c in asked] for log_p in logs])
+    x, y = int(x), int(y)
+    _check_x(x)  # x is refused before the sieve and the term table
+    basis = sieve_primes(min(x, y))
+    asked, start, terms = _term_table(columns, basis, x)
+    terms = terms.T.copy()  # a row of terms a prime power, gathered along axis 0
+    root = np.ones(1, dtype=np.int64), np.zeros((1, len(asked)))
 
     def times(rows, i, k, pk):
-        n, sums = rows
-        if np.ndim(i):  # a block past sqrt(x): k = 1, one prime a row
-            return n * pk, sums + np.take(linear(), i, axis=0)
-        return n * pk, sums + [_term(c, logs[i], k) for c in asked]
+        return rows[0] * pk, rows[1] + np.take(terms, start[i] + k, axis=0)
 
-    root = np.ones(1, dtype=np.int64), np.zeros((1, len(asked)))
-    blocks = smooth_blocks(x, y, row_bytes, root, times)  # checks x before the sieve
-    logs = [log(p) for p in sieve_primes(min(int(x), int(y))).tolist()]
-    for n, sums in blocks:
+    for n, sums in smooth_blocks(x, y, row_bytes, root, times):
         yield n, {c: _scaled(c, sums[:, j]) for j, c in enumerate(asked)}
 
 

@@ -41,6 +41,22 @@ def _as_float_grid(values) -> tuple[float, ...]:
     return grid
 
 
+def _as_z_grid(values) -> tuple[float, ...]:
+    """A finite grid of z on which the errors of clt and the gaps of
+    average, which divide by the Gaussian tail Phi(z) and by 1 + z**4, are
+    defined: Phi(z) may not underflow to 0.0 (z >= 38.5), nor z**4
+    overflow (|z| past about 1.16e77, a negative z of average)."""
+    grid = _as_float_grid(values)
+    for z in grid:
+        if gaussian_tail(z) == 0.0:
+            raise ConfigError(f"z = {z} has a Gaussian tail that underflows to 0.0")
+        try:
+            z**4
+        except OverflowError:
+            raise ConfigError(f"z = {z} has a z**4 past the float range") from None
+    return grid
+
+
 def _check_range(x: int, y: int) -> None:
     if x < 2:
         raise ConfigError("x must be >= 2")
@@ -120,6 +136,8 @@ class CltRunConfig:
     is only tested on n with z <= B w_n^{1/4}.
     When more than sample_cap n > 1 are in range, random.Random(seed).sample
     draws sample_cap of their ranks, uniformly, in the ascending table.
+    A z whose Gaussian tail underflows to 0.0 (z >= 38.5) is refused, since
+    each error divides by that tail.
     """
 
     x: int
@@ -133,7 +151,7 @@ class CltRunConfig:
 
     def __post_init__(self):
         _check_range(self.x, self.y)
-        grid = _as_float_grid(self.z_grid)
+        grid = _as_z_grid(self.z_grid)
         if any(z < 0 for z in grid):
             raise ConfigError("z_grid entries must be >= 0")
         object.__setattr__(self, "z_grid", grid)
@@ -225,7 +243,10 @@ class AverageRunConfig:
     n, which is what makes the average a function of (x, y, z) alone.  The
     z range is capped at c5 * u_bar^{1/5}; past that the ensemble average
     is no longer governed by the Gaussian profile and the run refuses to
-    pretend otherwise.  Negative z is fine (the exact law answers directly).
+    pretend otherwise.  Negative z is fine (the exact law answers directly),
+    but not a z whose Gaussian tail underflows to 0.0 (z >= 38.5), nor one
+    whose z^4 overflows (|z| past about 1.16e77), since the gap divides by
+    Phi(z) and by 1 + z^4.
     """
 
     x: int
@@ -235,7 +256,7 @@ class AverageRunConfig:
 
     def __post_init__(self):
         _check_range(self.x, self.y)
-        object.__setattr__(self, "z_grid", _as_float_grid(self.z_grid))
+        object.__setattr__(self, "z_grid", _as_z_grid(self.z_grid))
         if not self.c5 > 0:
             raise ConfigError("c5 must be positive")
 

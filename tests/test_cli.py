@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import friabilis.cli as cli
+from friabilis import experiments
 from friabilis.arith import factorize, psi_exact
 from friabilis.divdist import moments
 from friabilis.errors import ResourceLimitError
@@ -376,6 +377,48 @@ def test_nan_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("clt", "--x", "1e4", "--y", "30", "--z-grid", "40", "--B", "100"),
+        ("clt", "--x", "1e4", "--y", "30", "--z-grid", "1e78", "--B", "1e300"),
+        ("average", "--x", "1e4", "--y", "30", "--z-grid", "40", "--c5", "100"),
+        ("average", "--x", "1e4", "--y", "30", "--z-grid", "1e78", "--c5", "1e300"),
+        ("average", "--x", "1e4", "--y", "30", "--z-grid=-1e78", "--c5", "1e300"),
+    ],
+    ids=["clt-40", "clt-1e78", "average-40", "average-1e78", "average--1e78"],
+)
+def test_z_past_the_float_range_exits_2(capsys, monkeypatch, argv):
+    # Phi(z) is 0.0 from z = 38.5 on, and z**4 overflows past |z| = 1.16e77;
+    # the clt error and the average gap divide by both: refused before any table
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(experiments, "smooth_table", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_clt_runs_at_z_38(capsys):
+    code, out, err = run_cli(
+        capsys, "clt", "--x", "1e4", "--y", "30", "--z-grid", "38", "--B", "100"
+    )
+    assert (code, err) == (0, "")
+    assert "nan" not in out
+
+
+def test_average_runs_at_a_far_negative_z(capsys):
+    # Phi(-40) is 1.0 and (-40)**4 finite: every n's tail is 1.0, a zero gap
+    code, out, err = run_cli(
+        capsys, "average", "--x", "1e4", "--y", "30", "--z-grid=-40,-1e70", "--c5", "1e300"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "z,n_count,mean_tail,gaussian,normalized_gap,nudged"
+    assert lines[2:] == ["-40.0,1581,1.0,1.0,0.0,0", "-1e+70,1581,1.0,1.0,0.0,0"]
 
 
 @pytest.mark.parametrize("perron", [(), ("--perron", "200")], ids=["plain", "perron"])

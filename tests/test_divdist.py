@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -656,6 +657,59 @@ def test_moment_blocks_refuse_like_the_table(monkeypatch):
         list(moment_blocks(10**5, 30, ("m3",), 40))
     with pytest.raises(DomainError, match="x must be >= 1"):
         list(moment_blocks(0, 30, ("m2",), 40))
+
+
+def test_terms_are_made_once_per_prime_power(monkeypatch):
+    # the term table holds each p^e <= the largest n once per column asked,
+    # for every prime of the basis, and no exponent past that
+    table = smooth_table(10**5, 10**5)
+    rows = np.sort(np.array(random.Random(0).sample(range(1, len(table)), 1000)))
+    top = int(table.n[-1])
+    powers = [(log(p), e) for p in table.basis.tolist() for e in range(1, 17) if p**e <= top]
+    calls = []
+    term = divdist._term
+
+    def spy(column, log_p, e):
+        calls.append((log_p, e))
+        return term(column, log_p, e)
+
+    monkeypatch.setattr(divdist, "_term", spy)
+    table_moments(table, rows, MOMENT_NAMES)
+    assert calls == powers * len(MOMENT_NAMES)
+
+
+def oracle_columns(factorizations) -> dict:
+    """Every table_moments column, from the per-n functions."""
+    fs = list(factorizations)
+    columns = {"log_n": [f.log_n for f in fs]}
+    columns["m2"], columns["m4"] = zip(*((m.m2, m.m4) for m in map(moments, fs)))
+    columns.update({k: [additive_fk(f, k) for f in fs] for k in range(9)})
+    return {c: list(values) for c, values in columns.items()}
+
+
+@pytest.mark.parametrize("x", [3**5, 3**10, 3**13])
+def test_terms_reach_exact_powers(x):
+    # x = 3**e is the largest row of S(x, 3); a float floor of log x / log 3
+    # (4.999... at 3**5) would leave its last term out
+    columns = (*MOMENT_NAMES, *range(9))
+    table = smooth_table(x, 3)
+    want = oracle_columns(table.factorizations())
+    for rows in (slice(None), np.arange(len(table))):
+        got = table_moments(table, rows, columns)
+        assert all(got[c].tolist() == want[c] for c in columns)
+    blocks = list(moment_blocks(x, 3, columns, arith.ROW_BYTES))
+    order = np.argsort(np.concatenate([n for n, _ in blocks]))
+    for c in columns:
+        assert np.concatenate([sums[c] for _, sums in blocks])[order].tolist() == want[c]
+
+
+def test_sampled_rows_of_a_large_basis_match_per_n():
+    table = smooth_table(2 * 10**5, 2 * 10**5)
+    rows = np.random.default_rng(9).choice(len(table), 300, replace=False)
+    columns = (*MOMENT_NAMES, *range(9))
+    got = table_moments(table, rows, columns)
+    want = oracle_columns(map(factorize, table.n[rows].tolist()))
+    assert all(got[c].tolist() == want[c] for c in columns)
 
 
 def test_table_upper_tails_ceiling_names_the_first_row(monkeypatch):
