@@ -6,7 +6,7 @@ approximations, counting estimates for smooth integers themselves, and
 batch experiment drivers that measure how tight the approximations run.
 """
 
-from friabilis._backend import BACKEND, get_backend
+from friabilis._backend import get_backend
 from friabilis.arith import (
     Factorization,
     SmoothSet,
@@ -76,7 +76,6 @@ __all__ = [
     "ArcsineRow",
     "AverageRow",
     "AverageRunConfig",
-    "BACKEND",
     "CltRow",
     "CltRunConfig",
     "ConcentrationRow",

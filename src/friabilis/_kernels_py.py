@@ -1,13 +1,12 @@
 """The sieve and summation kernels, in NumPy.
 
-The library reaches them through friabilis._backend.kernels.  The prime
-sieves loop in Python over primes and do their work in strided
-whole-array updates, one per prime.  The two divisor sieves hand their
-arithmetic progressions to one helper, _add_progressions: every d that
-divides the wheel 5040 is added in one broadcast pass of period 5040, and
-the other d run strided over one cache-sized segment of the array at a
-time, or, when a segment would hold few of their terms, over the whole
-array once.
+The library imports this module directly.  The prime sieves loop in
+Python over primes and do their work in strided whole-array updates, one
+per prime.  The two divisor sieves hand their arithmetic progressions to
+one helper, _add_progressions: every d that divides the wheel 5040 is
+added in one broadcast pass of period 5040, and the other d run strided
+over one cache-sized segment of the array at a time, or, when a segment
+would hold few of their terms, over the whole array once.
 
 tau_sieve's divisor counts are uint16, two bytes per n: the largest tau(n)
 for n <= 1e17 is 64,512, so tau_sieve refuses any limit past 10**17.  tau
@@ -21,8 +20,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 
 def kahan_sum(values):

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from friabilis._backend import kernels
+from friabilis import _kernels_py as kernels
 from friabilis.errors import DomainError, ResourceLimitError
 
 SIEVE_CEILING = 10**7  # largest admissible sieve limit

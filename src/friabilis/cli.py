@@ -66,13 +66,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _perron_arg(text: str) -> tuple[float, int]:
-    # the contour is taken in closed form: steps is checked and ignored, so
-    # T alone stands for T,1
+def _perron_arg(text: str) -> float:
+    # the contour is taken in closed form and reads T alone; a trailing
+    # STEPS, the old panel count that the benchmark harness still sends, is
+    # checked and dropped
     T, *steps = text.split(",")
     if len(steps) > 1:
-        raise argparse.ArgumentTypeError("expected T or T,steps")
-    return float(T), _int_arg(steps[0]) if steps else 1
+        raise argparse.ArgumentTypeError("expected T or T,STEPS")
+    if steps and _int_arg(steps[0]) < 1:
+        raise argparse.ArgumentTypeError(f"STEPS must be >= 1: {steps[0]!r}")
+    return float(T)
 
 
 def _print_aligned(pairs) -> None:
@@ -236,8 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_perron_arg,
         default=None,
         metavar="T[,STEPS]",
-        help="also evaluate the contour integral truncated at |Im s| <= T; "
-        "STEPS is accepted and ignored",
+        help="also evaluate the contour integral truncated at |Im s| <= T, "
+        "which alone is read; a trailing ,STEPS is accepted for the benchmark "
+        "harness and ignored",
     )
     tail.set_defaults(handler=_cmd_tail)
 

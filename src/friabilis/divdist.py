@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from friabilis._backend import kernels
+from friabilis import _kernels_py as kernels
 from friabilis.arith import (
     N_CEILING,
     Factorization,
@@ -434,7 +434,7 @@ def _chunk_atoms(
 
 
 def _search(
-    atoms: np.ndarray, base: np.ndarray, s: np.ndarray, buffers: _Buffers | None = None
+    atoms: np.ndarray, base: np.ndarray, s: np.ndarray, buffers: _Buffers
 ) -> tuple[np.ndarray, np.ndarray]:
     """#{a < s} and the distance from s to the nearest a, over the row of
     atoms at flat offset base.
@@ -458,11 +458,10 @@ def _search(
     also spares the copy np.take makes of out= in its default mode.
 
     pos, gap and the scratch step and atom are views of buffers, so the
-    returned pos and gap hold until buffers is next used.  Without buffers
+    returned pos and gap hold until buffers is next used.  With _Buffers(0)
     every array is fresh, as the nudge loop of _count_pass needs: it holds
     the pos and gap of the chunk's search across its own searches.
     """
-    buffers = buffers or _Buffers(0)
     flat = atoms.reshape(-1)
     pos = buffers.view("pos", s.shape, np.int64)
     pos[...] = base
@@ -552,8 +551,8 @@ def _count_pass(
                 if not moving.any():
                     break
                 np.add(q, step, out=q, where=moving)
-                # no buffers: pos and gap above are views of them
-                pos[first], dist = _search(atoms, b, q)
+                # fresh arrays: pos and gap above are views of the buffers
+                pos[first], dist = _search(atoms, b, q, _Buffers(0))
                 moving &= dist < MERGE_TOL
             if moving.any():
                 stuck = int(n[np.argmax(moving.any(axis=1))])

@@ -17,7 +17,7 @@ from math import asin, exp, isfinite, pi, sqrt
 import numpy as np
 
 from friabilis import arith
-from friabilis._backend import BACKEND, kernels
+from friabilis import _kernels_py as kernels
 from friabilis.arith import smooth_table
 from friabilis.divdist import (
     model_mean_additive,
@@ -108,12 +108,12 @@ class RunResult:
 
 
 def _meta(kind: str, config, **extra) -> dict:
-    """A run's meta: schema, kind and backend, every config field (tuples as
-    lists), then what the run computed."""
+    """A run's meta: schema and kind, every config field (tuples as lists),
+    then what the run computed."""
     fields = {
         k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(config).items()
     }
-    return {"schema": SCHEMA_VERSION, "kind": kind, "backend": BACKEND, **fields, **extra}
+    return {"schema": SCHEMA_VERSION, "kind": kind, **fields, **extra}
 
 
 def _csv_cell(value) -> str:
@@ -228,7 +228,6 @@ def run_clt(config: CltRunConfig) -> RunResult:
         )
     n_selected = min(total, config.sample_cap)
     meta = _meta("clt", config, psi_gt1=total, n_selected=n_selected, sampled=sampled)
-    meta["quantile_rank_error"] = 0.0  # medians and maxima are exact, not sketched
     return RunResult(rows=tuple(rows), meta=meta)
 
 
@@ -489,11 +488,5 @@ def arcsine_check(x: int, vs) -> RunResult:
         rows.append(
             ArcsineRow(v=v, empirical=empirical, limit=limit, gap=abs(empirical - limit))
         )
-    meta = {
-        "schema": SCHEMA_VERSION,
-        "kind": "arcsine",
-        "backend": BACKEND,
-        "x": x,
-        "vs": list(grid),
-    }
+    meta = {"schema": SCHEMA_VERSION, "kind": "arcsine", "x": x, "vs": list(grid)}
     return RunResult(rows=tuple(rows), meta=meta)

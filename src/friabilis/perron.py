@@ -17,8 +17,7 @@ of e^{ls}/s whose branch cut the segment crosses exactly when l > 0.  As
 l -> 0 the term tends to atan(T/beta)/pi.  A query costs tau(n) evaluations
 of E1, computed here with NumPy alone: a power series near zero and next to
 the negative real axis, elsewhere a continued fraction whose depth falls
-with |z|.  perron_tail_quadrature's `steps`, once its panel count, is
-checked and otherwise unused.
+with |z|.  The truncation T is the contour's only parameter.
 """
 
 from __future__ import annotations
@@ -268,13 +267,11 @@ def _exp1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contour_tail(law: DivisorLaw, t: float, beta: float, T: float, steps: int) -> float:
+def _contour_tail(law: DivisorLaw, t: float, beta: float, T: float) -> float:
     """perron_tail_quadrature for a built law and its tilt beta at t."""
     T = float(T)
     if not (isfinite(T) and T >= 1.0):
         raise DomainError("T must be finite and >= 1")
-    if int(steps) < 1:
-        raise DomainError("steps must be >= 1")
     if not beta > 0:
         raise DomainError("the contour needs z > 0")
     if law.nearest_atom_gap(t) < MERGE_TOL:
@@ -291,12 +288,7 @@ def _contour_tail(law: DivisorLaw, t: float, beta: float, T: float, steps: int) 
 
 
 def perron_tail_quadrature(
-    f: Factorization,
-    z,
-    *,
-    T: float = 200.0,
-    steps: int = 200_000,
-    t: float | None = None,
+    f: Factorization, z, *, T: float = 200.0, t: float | None = None
 ) -> float:
     """Tail probability as the contour integral of Z(s) e^{-ts}/s over the
     truncated vertical line Re s = beta, |Im s| <= T, in the closed form of
@@ -307,12 +299,11 @@ def perron_tail_quadrature(
     (past it E1 gives NaN).  z must be positive (beta = 0 puts the contour
     on the pole) and the query point t, half log n + z sigma unless given
     (see solve_beta), must not be an atom: within MERGE_TOL of a
-    log-divisor, as nudge_off_atom decides it.  steps must be >= 1 and is
-    otherwise unused.
+    log-divisor, as nudge_off_atom decides it.
     """
     z, _, t = _query(f, z, t)
     # _contour_tail refuses beta = 0, the tilt of z = 0
-    return _contour_tail(exact_law(f), t, solve_beta(f, z, t=t), T, steps)
+    return _contour_tail(exact_law(f), t, solve_beta(f, z, t=t), T)
 
 
 @dataclass(frozen=True)
@@ -334,15 +325,13 @@ class TailReport:
     rel_err_saddle: float
 
 
-def tail_report(
-    n_or_f, z, *, perron: tuple[float, int] | None = None
-) -> TailReport:
+def tail_report(n_or_f, z, *, perron: float | None = None) -> TailReport:
     """Assemble a TailReport for P(log d >= half log n + z sigma).
 
     When that threshold sits on an atom it is nudged off it first, and the
     exact, saddle and Perron tails are all evaluated at the resolved t,
-    from one law and one tilt.  `perron`, when given, is (T, steps) for
-    the contour evaluation; it is skipped otherwise.  _query's refusals
+    from one law and one tilt.  `perron`, when given, is the truncation T
+    of the contour evaluation; it is skipped otherwise.  _query's refusals
     come first.
     """
     f = n_or_f if isinstance(n_or_f, Factorization) else factorize(n_or_f)
@@ -355,7 +344,7 @@ def tail_report(
     tilted = _saddle_tail(f, beta, t)
     perron_val = None
     if perron is not None:
-        perron_val = _contour_tail(law, t, beta, *perron)
+        perron_val = _contour_tail(law, t, beta, perron)
     return TailReport(
         n=f.n,
         z=z,

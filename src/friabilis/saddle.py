@@ -11,7 +11,7 @@ from math import exp, log, pi, sqrt
 
 import numpy as np
 
-from friabilis._backend import kernels
+from friabilis import _kernels_py as kernels
 from friabilis.arith import sieve_primes
 from friabilis.errors import ConvergenceError, DomainError
 

@@ -283,7 +283,7 @@ def test_criterion_10_contour_diagnostic(acceptance):
     mom = moments(f)
     t = 0.5 * f.log_n + 0.5 * mom.sigma
     exact = exact_upper_tail(exact_law(f), t)
-    val = perron_tail_quadrature(f, 0.5, T=200.0, steps=200_000)
+    val = perron_tail_quadrature(f, 0.5, T=200.0)
     gap = abs(val - exact)
     ok = gap <= 1e-3
     acceptance(

@@ -200,11 +200,18 @@ def test_tail_perron_refuses_T_past_the_float_range(capsys):
 
 
 def test_tail_perron_takes_T_alone(capsys):
+    # the contour reads T alone; a trailing STEPS is checked and dropped
     argv = ("tail", "--n", "963761198400", "--z", "0.7", "--perron")
     code, out, _ = run_cli(capsys, *argv, "200")
     assert code == 0
     assert json.loads(out)["perron"] is not None
-    assert run_cli(capsys, *argv, "200,20000") == (0, out, "")
+    for arg in ("200,20000", "200,2e4"):
+        assert run_cli(capsys, *argv, arg) == (0, out, "")
+    for arg in ("200,0", "200,2.5"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, arg])
+        assert exit_.value.code == 2
+        assert "argument --perron:" in capsys.readouterr().err
 
 
 def _on_atom_z(n: int, d: int) -> str:
@@ -215,8 +222,8 @@ def _on_atom_z(n: int, d: int) -> str:
 @pytest.mark.parametrize(
     "n,z,perron,nudged",
     [
-        (720720, _on_atom_z(720720, 2002), (200.0, 20_000), True),
-        (963761198400, "0.7", (200.0, 20_000), False),
+        (720720, _on_atom_z(720720, 2002), 200.0, True),
+        (963761198400, "0.7", 200.0, False),
         (963761198400, "0.7", None, False),
     ],
     ids=["nudged", "unnudged", "no-perron"],
@@ -473,7 +480,8 @@ def test_clt_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["kind"] == "clt"
-    assert payload["meta"]["quantile_rank_error"] == 0.0
+    fields = {f.name for f in dataclasses.fields(CltRunConfig)}
+    assert set(payload["meta"]) == {"schema", "kind", *fields, "psi_gt1", "n_selected", "sampled"}
 
 
 def test_clt_bad_config(capsys):
@@ -537,6 +545,33 @@ def test_arcsine(capsys):
     lines = out.splitlines()
     assert lines[1] == "v,empirical,limit,gap"
     assert len(lines) == 4  # default vs = 0.25, 0.5
+
+
+def test_arcsine_json_meta(capsys):
+    code, out, _ = run_cli(capsys, "arcsine", "--x", "1e4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["meta"] == {"schema": 1, "kind": "arcsine", "x": 10000, "vs": [0.25, 0.5]}
+    assert len(payload["rows"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("clt", "--x", "1e4", "--y", "30", "--z-grid", "0"),
+        ("average", "--x", "1e4", "--y", "30", "--z-grid", "0"),
+        ("concentration", "--x", "1e4", "--y", "30"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_meta_names_no_backend(capsys, argv):
+    # there is one kernel implementation, so no run records which one it
+    # used; arcsine's meta is pinned whole above
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["kind"] == argv[0]
+    assert "backend" not in meta
 
 
 @pytest.mark.parametrize(
@@ -709,7 +744,7 @@ SILENT = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
              "--thresholds", "0.1,0.25,0.5", "--json"],
             "acec1e6b9bfe3bfc4450cb0897939e7f304c6bad8653fa2863fd8034b56fcda7",
             # the model means (closed form) and the sigma_n / sigma_bar histogram
-            "f579211b14b4b3f52d1cc614e8ce4fb1cc2e58055d778d5fd81732d13b6612ec",
+            "8dc8376a665d4e4ddf7f7a46140f3d1485df41e062aeef3e92c442032bf1bdc5",
         ),
         (
             ["clt", "--x", "1e5", "--y", "30", "--z-grid", "0,1"],

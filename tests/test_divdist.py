@@ -431,7 +431,7 @@ def test_search_matches_a_brute_force_oracle(width):
         k = rng.integers(len(values))
         top = values[min(k + 1, len(values) - 1)]
         s[a] = (values[k], (values[k] + top) / 2, -0.5, values[-1] + 1, 0.0, rng.uniform(-1, 26), np.nan)
-    count, gap = divdist._search(atoms, (row * width)[:, None], s)
+    count, gap = divdist._search(atoms, (row * width)[:, None], s, divdist._Buffers(0))
     for a, r in enumerate(row.tolist()):
         law = divdist.DivisorLaw(n=0, tau=int(taus[r]), values=atoms[r, : taus[r]], divisors=None)
         for q, v in enumerate(s[a, :-1].tolist()):

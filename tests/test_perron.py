@@ -285,7 +285,7 @@ def test_perron_known_tail():
     mom = moments(f)
     t = 0.5 * f.log_n + 0.5 * mom.sigma
     exact = exact_law(f).upper_tail(t)
-    val = perron_tail_quadrature(f, 0.5, T=200.0, steps=50_000)
+    val = perron_tail_quadrature(f, 0.5, T=200.0)
     assert abs(val - exact) < 1e-3
 
 
@@ -299,8 +299,6 @@ def test_perron_guards():
     for T in (0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             perron_tail_quadrature(f, 0.5, T=T)
-    with pytest.raises(DomainError):
-        perron_tail_quadrature(f, 0.5, steps=0)
     with pytest.raises(DomainError):
         perron_tail_quadrature(factorize(1), 0.5)
     # query landing exactly on the atom at log 3
@@ -319,7 +317,7 @@ def test_perron_refuses_every_atom_of_a_large_n():
     for k in range(20, 38):
         t = float(law.values[k])  # log 3^k
         with pytest.raises(DomainError, match="collides with the atom"):
-            perron_tail_quadrature(f, (t - half) / sigma, T=200.0, steps=2_000, t=t)
+            perron_tail_quadrature(f, (t - half) / sigma, T=200.0, t=t)
 
 
 def test_perron_threads_keep_their_own_workspace():
@@ -327,13 +325,11 @@ def test_perron_threads_keep_their_own_workspace():
     # quadrature shared its node tables between threads and returned -28.40
     # for n = 720720, where the answer is 0.3174
     cases = [factorize(n) for n in (720720, 223092870, 60, 30030, 9699690, 1024)]
-    serial = [perron_tail_quadrature(f, 0.5, T=200.0, steps=20_000) for f in cases]
+    serial = [perron_tail_quadrature(f, 0.5, T=200.0) for f in cases]
     results = [None, None]
 
     def work(k):
-        results[k] = [
-            perron_tail_quadrature(f, 0.5, T=200.0, steps=20_000) for f in cases
-        ]
+        results[k] = [perron_tail_quadrature(f, 0.5, T=200.0) for f in cases]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -530,19 +526,18 @@ def test_perron_matches_direct_grid_oracle(f, z):
     t, _ = nudge_off_atom(exact_law(f), 0.5 * f.log_n + z * mom.sigma)
     beta = solve_beta(f, z, t=t)
     for T in (1.0, 50.0, 200.0):
-        got = [perron_tail_quadrature(f, z, T=T, steps=s, t=t) for s in (1, 20_000, 200_000)]
-        assert got[0] == got[1] == got[2], (T, got)
+        got = perron_tail_quadrature(f, z, T=T, t=t)
         for want in (
             exp1_perron_tail(f, beta, t, T),
             oracle_perron_quadrature(f, beta, t, T, 200_000),
         ):
-            assert abs(got[0] - want) <= 1e-12, (T, got[0], want)
+            assert abs(got - want) <= 1e-12, (T, got, want)
 
 
 def test_perron_small_beta_resolves_the_pole():
     # a `pointwise` query whose tilt, 2.7e-4, is far below the panel width
     # 0.01: 4-point panels alone missed the 1/s peak at Im s = 0 (0.294)
-    rep = tail_report(7525468995439, 0.0016444668953707886, perron=(200.0, 20_000))
+    rep = tail_report(7525468995439, 0.0016444668953707886, perron=200.0)
     assert rep.beta < 1e-3
     assert rep.exact_tail == 0.484375
     assert abs(rep.perron - rep.exact_tail) <= 0.01, rep.perron
@@ -556,7 +551,7 @@ def test_tail_report_builds_one_law_and_one_tilt(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(perron, name, spy)
-    tail_report(factorize(963761198400), 0.7, perron=(200.0, 20_000))
+    tail_report(factorize(963761198400), 0.7, perron=200.0)
     assert sorted(calls) == ["exact_law", "solve_beta"]
 
 
@@ -573,7 +568,7 @@ def test_tail_report_fields():
 
 
 def test_tail_report_with_perron():
-    rep = tail_report(factorize(60), 0.5, perron=(200.0, 50_000))
+    rep = tail_report(factorize(60), 0.5, perron=200.0)
     assert not rep.nudged
     assert rep.perron is not None
     assert abs(rep.perron - rep.exact_tail) < 1e-3
@@ -608,9 +603,9 @@ def test_tail_report_on_interior_atoms():
             z = (log(d) - half) / mom.sigma
             if d * d <= n or z >= 0.9 * tail_quantile_domain(f):
                 continue
-            rep = tail_report(f, z, perron=(200.0, 2_000))
+            rep = tail_report(f, z, perron=200.0)
             assert rep.nudged, (n, d)
             assert rep.saddle == saddle_tail_approx(f, z, t=rep.t).value
-            assert rep.perron == perron_tail_quadrature(f, z, T=200.0, steps=2_000, t=rep.t)
+            assert rep.perron == perron_tail_quadrature(f, z, T=200.0, t=rep.t)
             # the contour smooths the atom next to t over ~1/T
             assert abs(rep.perron - rep.exact_tail) <= 0.01 + 1.0 / f.tau, (n, d)
